@@ -434,7 +434,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse usage failure
         code = exc.code if isinstance(exc.code, int) else 1
         return code
-    except (ValueError, AssertionError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except NumericError as exc:

@@ -370,9 +370,23 @@ def _initial_center(dens: Density, R: float) -> float:
     return 0.5 * R
 
 
+def _first_trial(step0: float, last: float) -> float:
+    """Initial step of a line search: near the direction's last accepted step.
+
+    Nocedal & Wright's initial-step heuristic: start at four times the step
+    the previous search along the same direction accepted, capped at step0;
+    with no accepted step on record (last == 0.0) start at step0.
+    """
+    return min(4.0 * last, step0) if last > 0.0 else step0
+
+
 def _try_direction(dens: Density, V: np.ndarray, M0: float, per: float,
-                   dhat: np.ndarray, step0: float) -> tuple[np.ndarray, float, bool]:
-    """Backtracking move along dhat (unit max-displacement) with mass re-projection."""
+                   dhat: np.ndarray, step0: float) -> tuple[np.ndarray, float, float]:
+    """Backtracking move along dhat (unit max-displacement) with mass re-projection.
+
+    Returns (V, perimeter, step): step is the accepted step length, or
+    0.0 (and the input V, per) when no trial was accepted.
+    """
     ref_scale = float(np.max(np.abs(V))) + 1.0
     t = step0
     while t > 1e-14 * ref_scale:
@@ -386,13 +400,13 @@ def _try_direction(dens: Density, V: np.ndarray, M0: float, per: float,
             if _star_ok(Vt, Vt.mean(axis=0)):
                 pt = _perimeter(dens, Vt)
                 if pt <= per:
-                    return Vt, pt, True
+                    return Vt, pt, t
         t *= 0.5
-    return V, per, False
+    return V, per, 0.0
 
 
 def descent_step(dens: Density, V: np.ndarray, M0: float, per: float,
-                 step0: float) -> tuple[np.ndarray, float, bool]:
+                 step0: float, steps: list[float]) -> tuple[np.ndarray, float, bool]:
     """One projected-descent iteration; returns (V, perimeter, accepted).
 
     The direction is -grad(P) with its component along grad(M) removed,
@@ -403,6 +417,10 @@ def descent_step(dens: Density, V: np.ndarray, M0: float, per: float,
     stationary at fine resolutions, each iteration also line-searches the
     rigid translation carried by the mean of the same direction field;
     the projection step then slides the radius along the constraint.
+
+    steps holds the last accepted step of the smoothed, raw and
+    rigid-shift searches (0.0 for none); each search starts near its
+    entry (see _first_trial) and the list is updated in place.
     """
     _, gP = _perimeter_grad(dens, V)
     _, gM = _mass_grad(dens, V)
@@ -414,16 +432,18 @@ def descent_step(dens: Density, V: np.ndarray, M0: float, per: float,
     moved = False
     # smoothed direction for the smooth modes, raw direction for mesh-scale
     # cleanup; the smoother alone would leave vertex noise behind
-    for direction in (ds, d):
+    for k, direction in enumerate((ds, d)):
         dmax = float(np.max(np.abs(direction)))
         if dmax > 1e-300:
-            V, per, ok = _try_direction(dens, V, M0, per, direction / dmax, step0)
-            moved = moved or ok
+            V, per, steps[k] = _try_direction(dens, V, M0, per, direction / dmax,
+                                              _first_trial(step0, steps[k]))
+            moved = moved or steps[k] > 0.0
     shift = d.mean(axis=0)
     norm = float(math.hypot(shift[0], shift[1]))
     if norm > 1e-300:
-        V, per, slid = _try_direction(dens, V, M0, per, shift / norm, step0)
-        moved = moved or slid
+        V, per, steps[2] = _try_direction(dens, V, M0, per, shift / norm,
+                                          _first_trial(step0, steps[2]))
+        moved = moved or steps[2] > 0.0
     return V, per, moved
 
 
@@ -449,6 +469,7 @@ def evolve_2d(dens: Density, M0: float, n: int = 256, max_iters: int = 4000,
 
     iterations = 0
     history = [per]
+    steps = [0.0, 0.0, 0.0]  # last accepted step per search direction
     stalled = 0
     since_resample = 0
     plateau = False
@@ -456,7 +477,7 @@ def evolve_2d(dens: Density, M0: float, n: int = 256, max_iters: int = 4000,
         iterations += 1
         E = np.roll(V, -1, axis=0) - V
         mean_edge = float(np.mean(np.hypot(E[:, 0], E[:, 1])))
-        V, per, accepted = descent_step(dens, V, M0, per, 0.1 * mean_edge)
+        V, per, accepted = descent_step(dens, V, M0, per, 0.1 * mean_edge, steps)
         if accepted:
             stalled = 0
             since_resample += 1
@@ -625,7 +646,7 @@ def _resample_profile(W: np.ndarray) -> np.ndarray:
 
 
 def _try_direction_rev(dens: Density, W: np.ndarray, M0: float, area: float,
-                       dhat: np.ndarray, step0: float) -> tuple[np.ndarray, float, bool]:
+                       dhat: np.ndarray, step0: float) -> tuple[np.ndarray, float, float]:
     ref_scale = float(np.max(np.abs(W))) + 1.0
     t = step0
     while t > 1e-14 * ref_scale:
@@ -640,13 +661,14 @@ def _try_direction_rev(dens: Density, W: np.ndarray, M0: float, area: float,
             if _profile_ok(Wt):
                 st = _rev_area(dens, Wt)
                 if st <= area:
-                    return Wt, st, True
+                    return Wt, st, t
         t *= 0.5
-    return W, area, False
+    return W, area, 0.0
 
 
 def _rev_step(dens: Density, W: np.ndarray, M0: float, area: float,
-              step0: float) -> tuple[np.ndarray, float, bool]:
+              step0: float, steps: list[float]) -> tuple[np.ndarray, float, bool]:
+    """Axisymmetric counterpart of descent_step, with the same steps memory."""
     _, gS = _rev_area_grad(dens, W)
     _, gM = _rev_mass_grad(dens, W)
     for g in (gS, gM):
@@ -658,17 +680,19 @@ def _rev_step(dens: Density, W: np.ndarray, M0: float, area: float,
     ds -= (float(np.sum(ds * gM)) / gM2) * gM
     ds[0, 1] = ds[-1, 1] = 0.0
     moved = False
-    for direction in (ds, d):
+    for k, direction in enumerate((ds, d)):
         dmax = float(np.max(np.abs(direction)))
         if dmax > 1e-300:
-            W, area, ok = _try_direction_rev(dens, W, M0, area, direction / dmax, step0)
-            moved = moved or ok
+            W, area, steps[k] = _try_direction_rev(dens, W, M0, area, direction / dmax,
+                                                   _first_trial(step0, steps[k]))
+            moved = moved or steps[k] > 0.0
     # axial translation carried by the mean of the direction field
     shift = float(d[:, 0].mean())
     if abs(shift) > 1e-300:
         axis = np.array([math.copysign(1.0, shift), 0.0])
-        W, area, slid = _try_direction_rev(dens, W, M0, area, axis, step0)
-        moved = moved or slid
+        W, area, steps[2] = _try_direction_rev(dens, W, M0, area, axis,
+                                               _first_trial(step0, steps[2]))
+        moved = moved or steps[2] > 0.0
     return W, area, moved
 
 
@@ -693,13 +717,15 @@ def evolve_3d_axisym(dens: Density, M0: float, n: int = 129, max_iters: int = 40
 
     iterations = 0
     history = [area]
+    steps = [0.0, 0.0, 0.0]  # last accepted step per search direction
     stalled = 0
     since_resample = 0
     plateau = False
     while iterations < max_iters:
         iterations += 1
         seg = np.hypot(np.diff(W[:, 0]), np.diff(W[:, 1]))
-        W, area, accepted = _rev_step(dens, W, M0, area, 0.1 * float(np.mean(seg)))
+        W, area, accepted = _rev_step(dens, W, M0, area, 0.1 * float(np.mean(seg)),
+                                      steps)
         if accepted:
             stalled = 0
             since_resample += 1

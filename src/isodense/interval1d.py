@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .density import Density
-from .numerics import bisect, golden_min, grow_bracket
+from .numerics import NumericError, bisect, golden_min, grow_bracket
 
 __all__ = [
     "Interval",
@@ -194,7 +194,9 @@ def _beta_p_lt_1_closed(p: float, a: float, M0: float) -> Optional[float]:
     Valid while a <= (3*M0)**(1/3); returns None otherwise or for p != 1/2.
     The textbook expression for the cubic's resolvent Z is a difference of
     nearly equal terms for small a, so it is evaluated through the
-    conjugate product Z = E / (D + sqrt(D^2 - E)) instead.
+    conjugate product Z = E / (D + sqrt(D^2 - E)) instead.  Returns None
+    as well when Z evaluates to zero (M0 huge next to a**3, where D**2
+    overflows), leaving the bisection root to stand alone.
     """
     if p != 0.5:
         return None
@@ -207,6 +209,8 @@ def _beta_p_lt_1_closed(p: float, a: float, M0: float) -> Optional[float]:
         return None
     z = e_term / (d_term + math.sqrt(disc))
     z3 = z ** (1.0 / 3.0)
+    if z3 == 0.0:
+        return None
     s = a * a / (4.0 * z3) + z3 - 0.5 * a
     return s * s
 
@@ -226,7 +230,7 @@ def solve_p_lt_1(dens: Density, M0: float) -> IntervalSolution:
     beta = _invert_primitive(dens, M0)
     closed = _beta_p_lt_1_closed(dens.p, dens.a, M0)
     if closed is not None and not math.isclose(closed, beta, rel_tol=1e-6):
-        raise AssertionError(
+        raise NumericError(
             f"closed-form endpoint {closed} disagrees with bisection root {beta}")
     per = beta ** dens.p + 2.0 * dens.a
     return IntervalSolution(0.0, beta, per, IntervalBranch.AT_ORIGIN,

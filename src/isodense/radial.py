@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .density import Density, Dimension
-from .numerics import bisect, gauss_legendre_nodes, grow_bracket
+from .numerics import NumericError, bisect, gauss_legendre_nodes, grow_bracket
 
 __all__ = [
     "BallBranch",
@@ -93,7 +93,11 @@ def _centred_multiplier(dens: Density, d: int, R: float) -> float:
 
 
 def symmetric_ball(dens: Density, dim: Dimension, M0: float) -> BallSolution:
-    """Centred ball of weighted mass M0, radius solved by bisection."""
+    """Centred ball of weighted mass M0, radius solved by bisection.
+
+    Raises NumericError when the radius misses M0 by more than a relative
+    1e-9 (the bisection from [0, 1] runs out of halvings for tiny M0).
+    """
     if dim.d not in (2, 3):
         raise ValueError("symmetric_ball requires d in {2, 3}")
     if M0 <= 0.0:
@@ -105,9 +109,11 @@ def symmetric_ball(dens: Density, dim: Dimension, M0: float) -> BallSolution:
 
     hi = grow_bracket(resid, 1.0)
     R = bisect(resid, 0.0, hi)
+    mass = _centred_mass(dens, d, R)
+    if not abs(mass - M0) <= 1e-9 * M0:
+        raise NumericError(f"centred ball radius {R} misses mass {M0} by {mass - M0}")
     return BallSolution(dim, R, 0.0, _centred_perimeter(dens, d, R),
-                        _centred_mass(dens, d, R), BallBranch.CENTRED,
-                        _centred_multiplier(dens, d, R))
+                        mass, BallBranch.CENTRED, _centred_multiplier(dens, d, R))
 
 
 def offcenter_p2_2d(R: float, r0: float, a: float) -> tuple[float, float]:

@@ -275,6 +275,26 @@ def test_numeric_failure_exit_code(capsys, monkeypatch):
     assert "numeric failure" in err
 
 
+def test_p_half_closed_form_disagreement_is_numeric_failure(capsys, monkeypatch):
+    import isodense.interval1d as interval1d_mod
+
+    monkeypatch.setattr(interval1d_mod, "_beta_p_lt_1_closed", lambda p, a, M0: 2.0)
+    code, _, err = run_cli(capsys, "solve", "--dim", "1", "--p", "0.5", "--a", "0.5",
+                           "--mass", "1")
+    assert code == 2
+    assert "numeric failure" in err
+
+
+def test_centred_ball_mass_residual_is_numeric_failure(capsys):
+    # bisection from [0, 1] runs out of halvings long before R ~ 6e-61
+    code, out, err = run_cli(capsys, "solve", "--dim", "3", "--p", "2", "--a", "0.1",
+                             "--mass", "1e-300")
+    assert code == 2
+    assert out == ""
+    assert "numeric failure" in err
+    assert "Traceback" not in err
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run_cli(capsys, "verify", "bogus")
     assert code == 1

@@ -18,6 +18,7 @@ from isodense import (
     weighted_perimeter_2d,
 )
 from isodense import Dimension
+import isodense.evolver as ev
 from isodense.evolver import (
     _mass,
     _mass_grad,
@@ -171,10 +172,11 @@ def test_descent_steps_monotone_and_mass_conserving():
     V = _wobbly_curve(n=96, seed=4, center=(0.3, 0.0))
     V = _project_mass(dens, V, M0)
     per = _perimeter(dens, V)
+    steps = [0.0, 0.0, 0.0]
     for _ in range(120):
         E = np.roll(V, -1, axis=0) - V
         step0 = 0.1 * float(np.mean(np.hypot(E[:, 0], E[:, 1])))
-        V2, per2, accepted = descent_step(dens, V, M0, per, step0)
+        V2, per2, accepted = descent_step(dens, V, M0, per, step0, steps)
         if accepted:
             assert per2 <= per + 1e-12
             assert abs(_mass(dens, V2) - M0) <= 1e-8 * M0
@@ -194,7 +196,21 @@ def test_resample_preserves_geometry():
     assert np.max(L) / np.min(L) < 1.01
 
 
-def test_evolve_2d_matches_closed_form_small():
+def _count_calls(monkeypatch, name):
+    """Replace isodense.evolver.<name> by a wrapper; returns its call counter."""
+    calls = [0]
+    fn = getattr(ev, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(ev, name, counted)
+    return calls
+
+
+def test_evolve_2d_matches_closed_form_small(monkeypatch):
+    calls = _count_calls(monkeypatch, "_mass_grad")
     a = 0.2
     report = evolve_2d(Density(2, a), 1.0, n=128, max_iters=1500, tol=1e-9)
     ref = solve_2d_p2(a, 1.0)
@@ -202,6 +218,9 @@ def test_evolve_2d_matches_closed_form_small():
     assert report.weighted_perimeter == pytest.approx(ref.perimeter, rel=1e-2)
     assert report.center_offset_estimate == pytest.approx(ref.center_offset, rel=0.05)
     assert abs(report.weighted_mass - 1.0) <= 1e-8
+    # line searches warm-started per direction: a cold start at a tenth of
+    # the mean edge on every search takes 8982 mass-gradient evaluations here
+    assert calls[0] <= 8982 * 2 // 3
 
 
 def test_evolve_2d_refinement_convergence():
@@ -240,13 +259,16 @@ def test_isoperimetric_quotient():
     assert isoperimetric_quotient(rep) == pytest.approx(1.0, rel=1e-14)
 
 
-def test_evolve_3d_matches_closed_form_small():
+def test_evolve_3d_matches_closed_form_small(monkeypatch):
+    calls = _count_calls(monkeypatch, "_rev_mass_grad")
     report = evolve_3d_axisym(Density(2, 0.3), 1.0, n=65, max_iters=1500, tol=1e-9)
     ref = solve_3d_p2(0.3, 1.0)
     assert report.converged
     assert report.weighted_perimeter == pytest.approx(ref.perimeter, rel=2e-2)
     assert report.center_offset_estimate == pytest.approx(ref.center_offset, rel=0.1)
     assert abs(report.weighted_mass - 1.0) <= 1e-8
+    # cold-started line searches take 9904 mass-gradient evaluations here
+    assert calls[0] <= 9904 * 2 // 3
 
 
 def test_evolve_3d_centred():

@@ -150,6 +150,15 @@ def test_p_half_closed_form_matches_bisection():
         assert closed == pytest.approx(sol.beta, rel=1e-6)
 
 
+def test_p_half_closed_form_yields_to_bisection_at_huge_mass():
+    # D**2 overflows, the resolvent evaluates to zero and the closed form
+    # steps aside; the bisection root (1.5*M0)**(2/3) stands alone
+    M0 = 1e300
+    assert _beta_p_lt_1_closed(0.5, 0.25, M0) is None
+    sol = solve_p_lt_1(Density(0.5, 0.25), M0)
+    assert sol.beta == pytest.approx((1.5 * M0) ** (2.0 / 3.0), rel=1e-9)
+
+
 def test_solve_symmetric():
     assert solve_symmetric(Density(2, 1), 1.0).beta == pytest.approx(
         solve_p2(1.0, 1.0).beta, rel=1e-11)

@@ -11,10 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,13 +27,13 @@ from .interval1d import (
     perimeter1d,
     reduce_intervals,
     solve_general,
+    solve_general_batch,
     solve_p1,
     solve_p2,
-    solve_p_lt_1,
+    solve_p_lt_1_batch,
 )
 from .numerics import NumericError
 from .radial import (
-    BallSolution,
     offcenter_p2_2d,
     offcenter_p2_3d,
     offcenter_quadrature_2d,
@@ -50,25 +47,6 @@ __all__ = ["main"]
 
 VERIFY_SUITES = ("oracle1d", "branch-continuity", "reduction", "radial-quadrature",
                  "evolver-p2")
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    """One row of an offset sweep: the solved optimum at a single a value.
-
-    end1/end2 hold (alpha, beta) in 1D and (R, r0) in 2D/3D.
-    """
-
-    a: float
-    branch: str
-    end1: float
-    end2: float
-    perimeter: float
-    mass_residual: float
-
-    def row(self) -> list:
-        return [self.a, self.branch, self.end1, self.end2,
-                self.perimeter, self.mass_residual]
 
 
 def _fmt(x: float) -> str:
@@ -108,22 +86,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _dispatch_1d(p: float, a: float, mass: float, force_numeric: bool) -> IntervalSolution:
-    if force_numeric:
-        return solve_general(Density(p, a), mass)
+def _dispatch(dim: int, p: float, avals, mass: float, force_numeric: bool = False) -> list:
+    """One solution per offset; the numerical 1D solvers take all offsets in one call."""
+    if dim > 1:
+        if force_numeric:
+            raise ValueError("--force-numeric applies to --dim 1 only; use the evolve command")
+        if p == 2.0:
+            return [(solve_2d_p2 if dim == 2 else solve_3d_p2)(a, mass) for a in avals]
+        return [symmetric_ball(Density(p, a), Dimension(dim), mass) for a in avals]
+    if force_numeric or (p > 1.0 and p != 2.0):
+        return solve_general_batch(p, avals, mass)
     if p == 2.0:
-        return solve_p2(a, mass)
+        return [solve_p2(a, mass) for a in avals]
     if p == 1.0:
-        return solve_p1(a, mass)
-    if p < 1.0:
-        return solve_p_lt_1(Density(p, a), mass)
-    return solve_general(Density(p, a), mass)
-
-
-def _dispatch_ball(dim: int, p: float, a: float, mass: float) -> BallSolution:
-    if p == 2.0:
-        return solve_2d_p2(a, mass) if dim == 2 else solve_3d_p2(a, mass)
-    return symmetric_ball(Density(p, a), Dimension(dim), mass)
+        return [solve_p1(a, mass) for a in avals]
+    return solve_p_lt_1_batch(p, avals, mass)
 
 
 def _solution_record(dim: int, p: float, a: float, mass: float, sol) -> dict:
@@ -131,26 +108,18 @@ def _solution_record(dim: int, p: float, a: float, mass: float, sol) -> dict:
            "perimeter": sol.perimeter,
            "lagrange_multiplier": sol.lagrange_multiplier}
     if isinstance(sol, IntervalSolution):
-        rec["alpha"] = sol.alpha
-        rec["beta"] = sol.beta
-        rec["mass_residual"] = mass1d(Density(p, a), Interval(sol.alpha, sol.beta)) - mass
+        rec.update(alpha=sol.alpha, beta=sol.beta,
+                   mass_residual=mass1d(Density(p, a), Interval(sol.alpha, sol.beta)) - mass)
     else:
-        rec["R"] = sol.radius
-        rec["r0"] = sol.center_offset
-        rec["mass_residual"] = sol.mass - mass
+        rec.update(R=sol.radius, r0=sol.center_offset, mass_residual=sol.mass - mass)
     return rec
 
 
 def _cmd_solve(args) -> int:
-    dens = Density(args.p, args.a)  # validates p > 0, a >= 0
+    Density(args.p, args.a)  # validates p > 0, a >= 0
     if args.mass <= 0.0:
         raise ValueError("--mass must be positive")
-    if args.dim == 1:
-        sol = _dispatch_1d(args.p, args.a, args.mass, args.force_numeric)
-    else:
-        if args.force_numeric:
-            raise ValueError("--force-numeric applies to --dim 1 only; use the evolve command")
-        sol = _dispatch_ball(args.dim, dens.p, dens.a, args.mass)
+    sol = _dispatch(args.dim, args.p, [args.a], args.mass, args.force_numeric)[0]
     record = _solution_record(args.dim, args.p, args.a, args.mass, sol)
     if args.dim > 1 and args.p != 2.0 and args.p > 1.0:
         a_crit = critical_offset(args.p, Dimension(args.dim), args.mass)
@@ -161,16 +130,6 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _sweep_one(dim: int, p: float, a: float, mass: float) -> SweepRecord:
-    if dim == 1:
-        sol = _dispatch_1d(p, a, mass, force_numeric=False)
-        resid = mass1d(Density(p, a), Interval(sol.alpha, sol.beta)) - mass
-        return SweepRecord(a, sol.branch.value, sol.alpha, sol.beta, sol.perimeter, resid)
-    sol = _dispatch_ball(dim, p, a, mass)
-    return SweepRecord(a, sol.branch.value, sol.radius, sol.center_offset,
-                       sol.perimeter, sol.mass - mass)
-
-
 def _cmd_sweep(args) -> int:
     Density(args.p, 0.0)
     if args.steps < 2:
@@ -179,18 +138,12 @@ def _cmd_sweep(args) -> int:
         raise ValueError("need 0 <= a-min <= a-max")
     if args.mass <= 0.0:
         raise ValueError("--mass must be positive")
-    avals = np.linspace(args.a_min, args.a_max, args.steps)
-    threads = int(os.environ.get("ISODENSE_THREADS", "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(avals))) as pool:
-            records = list(pool.map(
-                lambda a: _sweep_one(args.dim, args.p, float(a), args.mass), avals))
-    else:
-        records = [_sweep_one(args.dim, args.p, float(a), args.mass) for a in avals]
-    records.sort(key=lambda r: r.a)
+    avals = np.linspace(args.a_min, args.a_max, args.steps).tolist()
+    sols = _dispatch(args.dim, args.p, avals, args.mass)
     end_cols = ["alpha", "beta"] if args.dim == 1 else ["R", "r0"]
-    _write_csv(args.out, ["a", "branch", *end_cols, "perimeter", "mass_residual"],
-               [r.row() for r in records])
+    header = ["a", "branch", *end_cols, "perimeter", "mass_residual"]
+    records = (_solution_record(args.dim, args.p, a, args.mass, s) for a, s in zip(avals, sols))
+    _write_csv(args.out, header, [[rec[k] for k in header] for rec in records])
     return 0
 
 
@@ -436,6 +389,9 @@ def main(argv=None) -> int:
         return code
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except MemoryError as exc:  # e.g. a sweep with too many --steps to hold
+        sys.stderr.write(f"error: out of memory: {exc}\n")
         return 1
     except NumericError as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")

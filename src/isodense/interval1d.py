@@ -21,7 +21,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .density import Density
-from .numerics import NumericError, bisect, golden_min, grow_bracket
+from .numerics import NumericError
+
+_NEWTON_CAP = 100  # Newton steps allowed per inverse; from its start it needs under ten
+# Section search: nodes per bracket, and enough passes to narrow the bracket
+# below 1e-12 * s_sym, since each pass keeps at most two of its cells.
+_SECTIONS = 32
+_SECTION_ITERS = math.ceil(math.log(1e-12) / math.log(2.0 / _SECTIONS))
+_TIE_RTOL = 1e-14  # above the rounding noise of the scaled objective, ~(p+1) ulps
+_BLOCK = 512  # offsets solved together; bounds the working memory of a long sweep
+_MASS_RTOL = 1e-12  # relative mass residual every numerical solution must meet
 
 __all__ = [
     "Interval",
@@ -32,8 +41,10 @@ __all__ = [
     "solve_p2",
     "solve_p1",
     "solve_p_lt_1",
+    "solve_p_lt_1_batch",
     "solve_symmetric",
     "solve_general",
+    "solve_general_batch",
     "brute_force_oracle",
     "reduce_intervals",
     "contour_grid",
@@ -106,30 +117,36 @@ def _multiplier(dens: Density, beta: float) -> float:
     return -dens.p * beta ** (dens.p - 1.0) / (beta ** dens.p + dens.a)
 
 
+def _newton_inverse(p: float, a, m) -> np.ndarray:
+    """q >= 0 with q**(p+1)/(p+1) + a*q = m, elementwise over arrays a and m >= 0.
+
+    Newton starts above the root, at min((m*(p+1))**(1/(p+1)), m/a); the
+    primitive is convex and increasing, so the iterates fall monotonically.
+    An element freezes at the first step that does not lower it (that step
+    repeats on every later pass), within rounding of its root.
+    """
+    m = np.asarray(m, dtype=float)
+    with np.errstate(all="ignore"):  # m/a is inf or nan at a = 0; fmin drops either
+        q = np.fmin((m * (p + 1.0)) ** (1.0 / (p + 1.0)), m / a)
+        for _ in range(_NEWTON_CAP):
+            qp = q ** p
+            q_new = q - (q * (qp / (p + 1.0) + a) - m) / (qp + a)
+            if not (q_new < q).any():
+                return q
+            q = np.fmin(q, q_new)
+    raise NumericError(f"primitive inverse did not settle in {_NEWTON_CAP} Newton steps")
+
+
 def _invert_primitive(dens: Density, m: float) -> float:
     """q >= 0 with F(q) = m."""
     if m < 0.0:
         raise ValueError("mass must be nonnegative")
-    if m == 0.0:
-        return 0.0
-    hi = max(1.0, (m * (dens.p + 1.0)) ** (1.0 / (dens.p + 1.0)))
-    hi = grow_bracket(lambda q: dens.primitive(q) - m, hi)
-    return bisect(lambda q: dens.primitive(q) - m, 0.0, hi)
+    return float(_newton_inverse(dens.p, dens.a, m))
 
 
-def _invert_primitive_grid(dens: Density, m: np.ndarray, iters: int = 110) -> np.ndarray:
+def _invert_primitive_grid(dens: Density, m: np.ndarray) -> np.ndarray:
     """Vectorized inverse of the primitive for a nonnegative array of masses."""
-    p, a = dens.p, dens.a
-    m = np.asarray(m, dtype=float)
-    lo = np.zeros_like(m)
-    # F(q) >= q**(p+1)/(p+1), so this upper end always brackets the root.
-    hi = (np.maximum(m, 0.0) * (p + 1.0)) ** (1.0 / (p + 1.0))
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        low = mid ** (p + 1.0) / (p + 1.0) + a * mid < m
-        lo = np.where(low, mid, lo)
-        hi = np.where(low, hi, mid)
-    return 0.5 * (lo + hi)
+    return _newton_inverse(dens.p, dens.a, m)
 
 
 def _classify(alpha_abs: float, beta: float, rel_tol: float = 1e-6) -> IntervalBranch:
@@ -196,7 +213,7 @@ def _beta_p_lt_1_closed(p: float, a: float, M0: float) -> Optional[float]:
     nearly equal terms for small a, so it is evaluated through the
     conjugate product Z = E / (D + sqrt(D^2 - E)) instead.  Returns None
     as well when Z evaluates to zero (M0 huge next to a**3, where D**2
-    overflows), leaving the bisection root to stand alone.
+    overflows), leaving the Newton root to stand alone.
     """
     if p != 0.5:
         return None
@@ -215,32 +232,38 @@ def _beta_p_lt_1_closed(p: float, a: float, M0: float) -> Optional[float]:
     return s * s
 
 
-def solve_p_lt_1(dens: Density, M0: float) -> IntervalSolution:
-    """Minimum-perimeter interval for 0 < p < 1: one end at the origin.
+def solve_p_lt_1_batch(p: float, a_values, M0: float) -> list[IntervalSolution]:
+    """Minimum-perimeter intervals for 0 < p < 1, one per offset: one end at the origin.
 
-    beta is the unique positive root of beta**(p+1) = (p+1)*(M0 - a*beta),
-    found by bracketed bisection.  For p = 1/2 the cubic-in-sqrt(beta)
-    closed form is also evaluated (while its discriminant permits) and
-    required to agree with the bisection root.
+    beta, the root of beta**(p+1) = (p+1)*(M0 - a*beta), comes from one Newton
+    primitive inverse over all offsets.  At p = 1/2 each row's cubic-in-sqrt(beta)
+    closed form is also evaluated (where its discriminant permits) and must agree.
     """
-    if not 0.0 < dens.p < 1.0:
+    if not 0.0 < p < 1.0:
         raise ValueError("this solver requires 0 < p < 1")
-    if M0 <= 0.0:
+    if not M0 > 0.0:
         raise ValueError("mass must be positive")
-    beta = _invert_primitive(dens, M0)
-    closed = _beta_p_lt_1_closed(dens.p, dens.a, M0)
-    if closed is not None and not math.isclose(closed, beta, rel_tol=1e-6):
-        raise NumericError(
-            f"closed-form endpoint {closed} disagrees with bisection root {beta}")
-    per = beta ** dens.p + 2.0 * dens.a
-    return IntervalSolution(0.0, beta, per, IntervalBranch.AT_ORIGIN,
-                            _multiplier(dens, beta))
+    a_all = np.asarray(a_values, dtype=float).reshape(-1)
+    dens = [Density(p, a) for a in a_all.tolist()]  # validates every offset
+    out = []
+    for d, beta in zip(dens, _newton_inverse(p, a_all, M0).tolist()):
+        closed = _beta_p_lt_1_closed(p, d.a, M0)
+        if closed is not None and not math.isclose(closed, beta, rel_tol=1e-6):
+            raise NumericError(
+                f"closed-form endpoint {closed} disagrees with Newton root {beta}")
+        out.append(_solution(d, 0.0, beta, M0, IntervalBranch.AT_ORIGIN))
+    return out
+
+
+def solve_p_lt_1(dens: Density, M0: float) -> IntervalSolution:
+    """Minimum-perimeter interval for 0 < p < 1: one row of solve_p_lt_1_batch."""
+    return solve_p_lt_1_batch(dens.p, [dens.a], M0)[0]
 
 
 def solve_symmetric(dens: Density, M0: float) -> IntervalSolution:
     """Symmetric interval [-beta, beta] of mass M0 for p > 1.
 
-    beta solves 2*beta**(p+1)/(p+1) + 2*a*beta = M0 by bisection; the
+    beta solves 2*beta**(p+1)/(p+1) + 2*a*beta = M0 by Newton's method; the
     perimeter is 2*beta**p + 2*a.  Only optimal above the critical offset,
     but well defined for any a.
     """
@@ -249,9 +272,7 @@ def solve_symmetric(dens: Density, M0: float) -> IntervalSolution:
     if M0 <= 0.0:
         raise ValueError("mass must be positive")
     beta = _invert_primitive(dens, 0.5 * M0)
-    per = 2.0 * beta ** dens.p + 2.0 * dens.a
-    return IntervalSolution(-beta, beta, per, IntervalBranch.SYMMETRIC,
-                            _multiplier(dens, beta))
+    return _solution(dens, beta, beta, M0, IntervalBranch.SYMMETRIC)
 
 
 def _beta_from_alpha(dens: Density, alpha_abs: float, M0: float) -> float:
@@ -262,48 +283,77 @@ def _beta_from_alpha(dens: Density, alpha_abs: float, M0: float) -> float:
     return _invert_primitive(dens, rest)
 
 
-def solve_general(dens: Density, M0: float) -> IntervalSolution:
-    """Numerical minimum-perimeter interval for any p > 0.
+def _solution(dens: Density, s: float, beta: float, M0: float,
+              branch: IntervalBranch) -> IntervalSolution:
+    """[-s, beta] as a solution, once it meets the mass constraint to _MASS_RTOL."""
+    resid = abs(dens.primitive(s) + dens.primitive(beta) - M0) / M0
+    if not resid <= _MASS_RTOL:
+        raise NumericError(f"relative mass residual {resid:.3e} exceeds {_MASS_RTOL}")
+    return IntervalSolution(-s, beta, s ** dens.p + beta ** dens.p + 2.0 * dens.a, branch,
+                            _multiplier(dens, beta))
 
-    The mass constraint is parametrized by s = |alpha|: for each trial s
-    the right endpoint is recovered by bisection, and the perimeter is
-    minimized over s in [0, beta_sym] by golden-section search.  The exact
-    s = 0 and symmetric candidates are always probed as well.
+
+def solve_general_batch(p: float, a_values, M0: float) -> list[IntervalSolution]:
+    """Numerical minimum-perimeter intervals for any p > 0, one per offset.
+
+    With s = |alpha|, the mass constraint gives beta(s) by the Newton
+    primitive inverse, and s**p + beta**p is minimized over s in [0, s_sym]
+    (s_sym the symmetric half-width) by a 32-point section search that keeps
+    the two cells around the best node until they span under 1e-12 * s_sym.
+    The exact s = 0 and symmetric candidates are always probed as well.
+    Offsets go in blocks of _BLOCK; no row's result depends on the others.
     """
-    if M0 <= 0.0:
+    if not M0 > 0.0:
         raise ValueError("mass must be positive")
-    p, a = dens.p, dens.a
-    s_sym = _invert_primitive(dens, 0.5 * M0)
+    a = np.asarray(a_values, dtype=float).reshape(-1)
+    if a.size > _BLOCK:
+        return [sol for k in range(0, a.size, _BLOCK)
+                for sol in solve_general_batch(p, a[k:k + _BLOCK], M0)]
+    dens = [Density(p, ak) for ak in a.tolist()]  # validates p and every offset
+    s_sym = _newton_inverse(p, a, 0.5 * M0)
+    col_a, col_s = a[:, None], s_sym[:, None]
 
-    def objective(s: float) -> float:
-        beta = _beta_from_alpha(dens, s, M0)
-        return s ** p + beta ** p + 2.0 * a
+    def objective(t):
+        # (s**p + beta**p) / s_sym**p at s = t * s_sym, without the 2a that would swamp it
+        s = t * col_s
+        beta = _newton_inverse(p, col_a, M0 - (s ** (p + 1.0) / (p + 1.0) + col_a * s))
+        return t ** p + (beta / col_s) ** p, beta
 
-    s_best, _ = golden_min(objective, 0.0, s_sym, tol=1e-12 * max(1.0, s_sym))
-    candidates = [0.0, s_sym, s_best]
-    best_s, best_per = None, math.inf
-    for s in candidates:
-        per = objective(s)
-        if per < best_per:
-            best_s, best_per = s, per
-    beta = _beta_from_alpha(dens, best_s, M0)
-    branch = _classify(best_s, beta)
-    if branch is IntervalBranch.SYMMETRIC:
-        best_s = beta = s_sym
-    elif branch is IntervalBranch.AT_ORIGIN:
-        best_s = 0.0
-        beta = _beta_from_alpha(dens, 0.0, M0)
-    per = best_s ** p + beta ** p + 2.0 * a
-    return IntervalSolution(-best_s, beta, per, branch, _multiplier(dens, beta))
+    rows = np.arange(a.size)
+    lo, hi = np.zeros(a.size), np.ones(a.size)
+    for _ in range(_SECTION_ITERS):
+        t = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, _SECTIONS + 1)
+        i = np.argmin(objective(t)[0], axis=1)
+        lo, hi = t[rows, np.maximum(i - 1, 0)], t[rows, np.minimum(i + 1, _SECTIONS)]
+    # the exact s = 0, then symmetric, candidates win ties within rounding (flat near a_crit)
+    cand = np.stack([np.zeros(a.size), np.ones(a.size), t[rows, i]], axis=1)
+    per, betas = objective(cand)
+    pick = np.argmax(per <= per.min(axis=1, keepdims=True) * (1.0 + _TIE_RTOL), axis=1)
+    s_best, beta = (cand[rows, pick] * s_sym).tolist(), betas[rows, pick].tolist()
+    out = []
+    for k, d in enumerate(dens):
+        s, b = s_best[k], beta[k]
+        branch = _classify(s, b)
+        if branch is IntervalBranch.SYMMETRIC:
+            s = b = float(s_sym[k])
+        elif branch is IntervalBranch.AT_ORIGIN:
+            s, b = 0.0, float(betas[k, 0])
+        out.append(_solution(d, s, b, M0, branch))
+    return out
+
+
+def solve_general(dens: Density, M0: float) -> IntervalSolution:
+    """Numerical minimum-perimeter interval for any p > 0: one row of solve_general_batch."""
+    return solve_general_batch(dens.p, [dens.a], M0)[0]
 
 
 def brute_force_oracle(dens: Density, M0: float, grid_n: int) -> IntervalSolution:
     """Exhaustive minimum over a uniform grid of left endpoints.
 
     Scans |alpha| over [0, L] with F(L) = M0 (the widest feasible left
-    extent), recovers each right endpoint from the mass constraint by
-    bisection, and returns the grid minimizer.  Accurate to O(L/grid_n)
-    in the endpoints; used as an independent check on the solvers.
+    extent), recovers each right endpoint from the mass constraint with
+    the Newton primitive inverse, and returns the grid minimizer.  Accurate
+    to O(L/grid_n) in the endpoints; an independent check on the solvers.
     """
     if grid_n < 100:
         raise ValueError("grid_n must be at least 100")
@@ -314,18 +364,15 @@ def brute_force_oracle(dens: Density, M0: float, grid_n: int) -> IntervalSolutio
     s = np.linspace(0.0, L, grid_n)
     rest = np.maximum(M0 - (s ** (p + 1.0) / (p + 1.0) + a * s), 0.0)
     beta = _invert_primitive_grid(dens, rest)
-    per = s ** p + beta ** p + 2.0 * a
-    i = int(np.argmin(per))
+    i = int(np.argmin(s ** p + beta ** p))  # without the shared 2a, which swamps large a
     s_i, b_i = float(s[i]), float(beta[i])
     if s_i > b_i:  # mirror image of the canonical optimum; reflect it back
         s_i, b_i = b_i, s_i
     grid_tol = max(1e-6, 2.0 * L / (grid_n - 1) / max(b_i, s_i, 1e-300))
     branch = _classify(s_i, b_i, rel_tol=grid_tol)
     if branch is IntervalBranch.AT_ORIGIN:
-        s_i = 0.0
-        b_i = float(_beta_from_alpha(dens, 0.0, M0))
-    return IntervalSolution(-s_i, b_i, float(s_i ** p + b_i ** p + 2.0 * a), branch,
-                            _multiplier(dens, b_i))
+        s_i, b_i = 0.0, L
+    return _solution(dens, s_i, b_i, M0, branch)
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +390,7 @@ def _concatenate_half_line(dens: Density, parts: Sequence[tuple[float, float]]) 
     lo0 = parts[0][0]
     total = sum(dens.primitive(hi) - dens.primitive(lo) for lo, hi in parts)
     target = dens.primitive(lo0) + total
-    hi = bisect(lambda q: dens.primitive(q) - target, lo0,
-                grow_bracket(lambda q: dens.primitive(q) - target,
-                             max(1.0, (target * (dens.p + 1.0)) ** (1.0 / (dens.p + 1.0)))))
-    return lo0, hi
+    return lo0, _invert_primitive(dens, target)
 
 
 def _translate_to_origin(dens: Density, lo: float, hi: float) -> float:

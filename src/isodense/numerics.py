@@ -1,9 +1,9 @@
 """Shared numerical kernels: bracketed bisection, golden-section search,
 Gauss-Legendre quadrature and finite differences.
 
-Everything here is a stateless pure function; all solved equations in this
-package are monotone and well conditioned, so bisection is the only root
-finder needed.
+Everything here is a stateless pure function.  The 1D solvers invert the
+density's primitive with their own vectorized Newton kernel; bisection
+serves the remaining scalar root finding.
 """
 
 from __future__ import annotations

@@ -108,6 +108,63 @@ def test_sweep_parallel_same_bytes(tmp_path, capsys, monkeypatch):
     assert f1.read_bytes() == f2.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--dim", "1", "--p", "4", "--a", "0.1", "--mass", "1e-300"],
+    ["solve", "--dim", "1", "--p", "4", "--a", "1e200", "--mass", "1"],
+    ["sweep", "--dim", "1", "--p", "1.5", "--a-min", "0", "--a-max", "1e300", "--steps", "3"],
+])
+def test_extreme_1d_inputs_meet_the_relative_mass_constraint(capsys, argv):
+    # tiny masses and huge offsets put the endpoints far below 1, where a
+    # bisection started on [0, 1] ran out of halvings
+    code, out, err = run_cli(capsys, *argv)
+    assert "Traceback" not in err
+    if code == 2:  # the solver may decline, but only as a numeric failure
+        assert "numeric failure" in err
+        return
+    assert code == 0, err
+    if argv[0] == "solve":
+        rec = json.loads(out)
+        resids = [rec["mass_residual"] / rec["mass"]]
+    else:
+        resids = [float(line.split(",")[5]) for line in out.splitlines()[1:]]
+        assert len(resids) == 3
+    assert all(abs(r) <= 1e-12 for r in resids)
+
+
+def test_huge_steps_is_a_one_line_usage_error(capsys, monkeypatch):
+    # --steps 100000000000 makes np.linspace raise MemoryError; fake it rather
+    # than allocate
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setattr(np, "linspace", no_memory)
+    code, out, err = run_cli(capsys, "sweep", "--dim", "1", "--p", "4", "--a-min", "0",
+                             "--a-max", "1", "--steps", "100000000000")
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert "out of memory" in err
+
+
+@pytest.mark.parametrize("p", ["4", "1.5", "0.5"])
+def test_sweep_rows_match_solve(tmp_path, capsys, p):
+    out_file = tmp_path / "s.csv"
+    code, _, _ = run_cli(capsys, "sweep", "--dim", "1", "--p", p, "--mass", "1.3",
+                         "--a-min", "0", "--a-max", "1.5", "--steps", "7",
+                         "--out", str(out_file))
+    assert code == 0
+    _, rows = read_csv(out_file)
+    for row in rows:
+        code, out, _ = run_cli(capsys, "solve", "--dim", "1", "--p", p, "--a", row[0],
+                               "--mass", "1.3")
+        assert code == 0
+        rec = json.loads(out)
+        assert row[1] == rec["branch"]
+        assert [float(v) for v in row[2:]] == [
+            rec["alpha"], rec["beta"], rec["perimeter"], rec["mass_residual"]]
+
+
 def test_sweep_p1_slope_approaches_two(tmp_path, capsys):
     out_file = tmp_path / "p1.csv"
     code, _, _ = run_cli(capsys, "sweep", "--dim", "1", "--p", "1", "--mass", "1",

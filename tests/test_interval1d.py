@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isodense import (
     Density,
@@ -19,8 +21,15 @@ from isodense import (
     solve_p_lt_1,
     solve_symmetric,
 )
-from isodense.numerics import central_second_diff
-from isodense.interval1d import _beta_from_alpha, _beta_p_lt_1_closed
+from isodense.numerics import NumericError, bisect, central_second_diff
+from isodense import interval1d
+from isodense.interval1d import (
+    _beta_from_alpha,
+    _beta_p_lt_1_closed,
+    _newton_inverse,
+    solve_general_batch,
+    solve_p_lt_1_batch,
+)
 
 
 def test_interval_validation():
@@ -242,6 +251,77 @@ def test_oracle_agreement_across_parameter_grid():
         ref = brute_force_oracle(dens, M0, 4000)
         assert sol.perimeter == pytest.approx(ref.perimeter, rel=1e-4)
         assert sol.perimeter <= ref.perimeter * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("a", [1e3, 1e6])
+def test_solve_general_symmetric_far_above_critical_offset(a):
+    # the shared 2a is left out of the compared objective; kept in, it swamps
+    # |alpha|**p + beta**p and ties send the optimum to the origin
+    sol = solve_general(Density(4, a), 1.0)
+    assert sol.branch is IntervalBranch.SYMMETRIC
+    assert sol.beta == -sol.alpha == solve_symmetric(Density(4, a), 1.0).beta
+
+
+def test_newton_inverse_matches_bisection():
+    rng = np.random.default_rng(5)
+    p = rng.uniform(0.1, 6.0, 40)
+    a = np.where(rng.random(40) < 0.25, 0.0, rng.uniform(0.0, 3.0, 40))
+    m = 10.0 ** rng.uniform(-6.0, 6.0, 40)
+    for pk, ak, mk in zip(p, a, m):
+        q = float(_newton_inverse(pk, ak, mk))
+        F = lambda x: x ** (pk + 1.0) / (pk + 1.0) + ak * x - mk
+        ref = bisect(F, 0.0, 2.0 * q + 1.0)
+        assert q == pytest.approx(ref, rel=1e-14)
+    # m = 0 (also with a = 0, where the derivative at the root vanishes)
+    assert _newton_inverse(2.0, np.array([0.0, 0.5]), 0.0).tolist() == [0.0, 0.0]
+
+
+def test_newton_inverse_cap_is_numeric_failure(monkeypatch):
+    monkeypatch.setattr(interval1d, "_NEWTON_CAP", 1)
+    with pytest.raises(NumericError):
+        _newton_inverse(4.0, 0.3, 1.0)
+
+
+def test_batches_split_into_blocks_without_changing_rows(monkeypatch):
+    avals = [0.0, 0.1, 0.2, 0.3165, 0.5, 2.0, 1e3]
+    whole = solve_general_batch(4.0, avals, 1.0)
+    monkeypatch.setattr(interval1d, "_BLOCK", 2)
+    assert solve_general_batch(4.0, avals, 1.0) == whole
+    assert whole == [solve_general(Density(4.0, a), 1.0) for a in avals]
+    halves = [0.0, 0.3, 1.0]
+    assert solve_p_lt_1_batch(0.5, halves, 1.0) == [
+        solve_p_lt_1(Density(0.5, a), 1.0) for a in halves]
+
+
+def test_batch_rejects_bad_offsets_and_mass():
+    with pytest.raises(ValueError):
+        solve_general_batch(4.0, [0.1, -1.0], 1.0)
+    with pytest.raises(ValueError):
+        solve_general_batch(4.0, [0.1, math.inf], 1.0)
+    with pytest.raises(ValueError):
+        solve_p_lt_1_batch(0.5, [0.1], 0.0)
+
+
+exponents = st.floats(1.0, 6.0, exclude_min=True)
+offsets = st.floats(0.0, 3.0)
+masses = st.floats(1e-3, 1e3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(exponents, st.lists(offsets, min_size=1, max_size=6), masses, st.data())
+def test_batched_row_equals_one_row_solve(p, avals, M0, data):
+    k = data.draw(st.integers(0, len(avals) - 1))
+    assert solve_general_batch(p, avals, M0)[k] == solve_general(Density(p, avals[k]), M0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(exponents, offsets, masses)
+def test_solve_general_mass_residual_and_oracle_bound(p, a, M0):
+    dens = Density(p, a)
+    sol = solve_general(dens, M0)
+    F = dens.primitive
+    assert abs(F(-sol.alpha) + F(sol.beta) - M0) <= 1e-12 * M0
+    assert sol.perimeter <= brute_force_oracle(dens, M0, 1000).perimeter * (1.0 + 1e-12)
 
 
 def test_oracle_rejects_small_grid():

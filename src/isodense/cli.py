@@ -9,6 +9,7 @@ digits, so identical inputs produce byte-identical output.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -79,6 +80,14 @@ def _write_csv(path: Optional[str], header: list[str], rows: list[list]) -> None
             fh.write(text)
 
 
+def positive_float(text: str) -> float:
+    """argparse type of every --mass: NaN, infinities and values <= 0 are usage errors."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -117,8 +126,6 @@ def _solution_record(dim: int, p: float, a: float, mass: float, sol) -> dict:
 
 def _cmd_solve(args) -> int:
     Density(args.p, args.a)  # validates p > 0, a >= 0
-    if args.mass <= 0.0:
-        raise ValueError("--mass must be positive")
     sol = _dispatch(args.dim, args.p, [args.a], args.mass, args.force_numeric)[0]
     record = _solution_record(args.dim, args.p, args.a, args.mass, sol)
     if args.dim > 1 and args.p != 2.0 and args.p > 1.0:
@@ -136,8 +143,6 @@ def _cmd_sweep(args) -> int:
         raise ValueError("--steps must be at least 2")
     if args.a_min > args.a_max or args.a_min < 0.0:
         raise ValueError("need 0 <= a-min <= a-max")
-    if args.mass <= 0.0:
-        raise ValueError("--mass must be positive")
     avals = np.linspace(args.a_min, args.a_max, args.steps).tolist()
     sols = _dispatch(args.dim, args.p, avals, args.mass)
     end_cols = ["alpha", "beta"] if args.dim == 1 else ["R", "r0"]
@@ -149,8 +154,6 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_contour(args) -> int:
     dens = Density(args.p, args.a)
-    if args.mass <= 0.0:
-        raise ValueError("--mass must be positive")
     if args.grid < 2:
         raise ValueError("--grid must be at least 2")
     # extent: a little past the widest one-ended interval of the target mass
@@ -174,8 +177,6 @@ def _cmd_contour(args) -> int:
 
 def _cmd_evolve(args) -> int:
     dens = Density(args.p, args.a)
-    if args.mass <= 0.0:
-        raise ValueError("--mass must be positive")
     if args.dim == 2:
         report = evolve_2d(dens, args.mass, n=args.vertices, max_iters=args.iters,
                            tol=args.tol)
@@ -322,6 +323,7 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+@functools.cache  # built on first use, once per process
 def _build_parser() -> _Parser:
     parser = _Parser(prog="isodense",
                      description="Weighted isoperimetric solvers for the density r^p + a")
@@ -331,7 +333,7 @@ def _build_parser() -> _Parser:
     solve.add_argument("--dim", type=int, choices=(1, 2, 3), required=True)
     solve.add_argument("--p", type=float, required=True)
     solve.add_argument("--a", type=float, required=True)
-    solve.add_argument("--mass", type=float, default=1.0)
+    solve.add_argument("--mass", type=positive_float, default=1.0)
     solve.add_argument("--force-numeric", action="store_true",
                        help="use the numerical 1D minimizer regardless of p")
     solve.set_defaults(func=_cmd_solve)
@@ -339,7 +341,7 @@ def _build_parser() -> _Parser:
     sweep = sub.add_parser("sweep", help="sweep the offset a and write a CSV")
     sweep.add_argument("--dim", type=int, choices=(1, 2, 3), required=True)
     sweep.add_argument("--p", type=float, required=True)
-    sweep.add_argument("--mass", type=float, default=1.0)
+    sweep.add_argument("--mass", type=positive_float, default=1.0)
     sweep.add_argument("--a-min", type=float, required=True)
     sweep.add_argument("--a-max", type=float, required=True)
     sweep.add_argument("--steps", type=int, required=True)
@@ -349,7 +351,7 @@ def _build_parser() -> _Parser:
     contour = sub.add_parser("contour", help="perimeter/mass grid over the endpoints")
     contour.add_argument("--p", type=float, required=True)
     contour.add_argument("--a", type=float, required=True)
-    contour.add_argument("--mass", type=float, default=1.0)
+    contour.add_argument("--mass", type=positive_float, default=1.0)
     contour.add_argument("--grid", type=int, default=101)
     contour.add_argument("--out", type=str, default=None)
     contour.set_defaults(func=_cmd_contour)
@@ -358,7 +360,7 @@ def _build_parser() -> _Parser:
     evolve.add_argument("--dim", type=int, choices=(2, 3), required=True)
     evolve.add_argument("--p", type=float, required=True)
     evolve.add_argument("--a", type=float, required=True)
-    evolve.add_argument("--mass", type=float, default=1.0)
+    evolve.add_argument("--mass", type=positive_float, default=1.0)
     evolve.add_argument("--vertices", type=int, default=256)
     evolve.add_argument("--iters", type=int, default=4000)
     evolve.add_argument("--tol", type=float, default=1e-9)
@@ -369,7 +371,7 @@ def _build_parser() -> _Parser:
     acrit = sub.add_parser("acrit", help="critical offset / critical mass")
     acrit.add_argument("--p", type=float, required=True)
     acrit.add_argument("--dim", type=int, choices=(1, 2, 3), required=True)
-    acrit.add_argument("--mass", type=float, default=None)
+    acrit.add_argument("--mass", type=positive_float, default=None)
     acrit.add_argument("--a", type=float, default=None)
     acrit.set_defaults(func=_cmd_acrit)
 

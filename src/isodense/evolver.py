@@ -256,20 +256,24 @@ def _vertex_normals(V: np.ndarray) -> np.ndarray:
     return nv / nn[:, None]
 
 
-def _project_mass(dens: Density, V: np.ndarray, M0: float,
-                  rel_tol: float = 1e-10, max_newton: int = 15) -> np.ndarray:
-    """Restore the mass constraint by a uniform offset along vertex normals."""
-    for _ in range(max_newton):
-        mass, gM = _mass_grad(dens, V)
+def _project(dens: Density, V: np.ndarray, M0: float, mass_grad, normals) -> np.ndarray:
+    """Restore the mass to a relative 1e-10 by Newton offsets along the state's normals."""
+    for _ in range(15):
+        mass, gM = mass_grad(dens, V)
         resid = mass - M0
-        if abs(resid) <= rel_tol * M0:
+        if abs(resid) <= 1e-10 * M0:
             return V
-        N = _vertex_normals(V)
+        N = normals(V)
         slope = float(np.sum(gM * N))
         if slope <= 0.0:
             raise NumericError("mass projection lost its outward slope")
         V = V + (-resid / slope) * N
     raise NumericError("mass projection did not converge")
+
+
+def _project_mass(dens: Density, V: np.ndarray, M0: float) -> np.ndarray:
+    """Mass projection of a closed polygon along its vertex normals."""
+    return _project(dens, V, M0, _mass_grad, _vertex_normals)
 
 
 def _catmull_rom(P0, P1, P2, P3, t):
@@ -370,6 +374,11 @@ def _initial_center(dens: Density, R: float) -> float:
     return 0.5 * R
 
 
+# ---------------------------------------------------------------------------
+# The descent driver, shared by both states: each function takes the state's
+# kernels as arguments, bound by thin per-state entry points.
+# ---------------------------------------------------------------------------
+
 def _first_trial(step0: float, last: float) -> float:
     """Initial step of a line search: near the direction's last accepted step.
 
@@ -380,71 +389,132 @@ def _first_trial(step0: float, last: float) -> float:
     return min(4.0 * last, step0) if last > 0.0 else step0
 
 
-def _try_direction(dens: Density, V: np.ndarray, M0: float, per: float,
-                   dhat: np.ndarray, step0: float) -> tuple[np.ndarray, float, float]:
+def _line_search(dens: Density, V: np.ndarray, M0: float, per: float, dhat: np.ndarray,
+                 step0: float, ok, project, functional) -> tuple[np.ndarray, float, float]:
     """Backtracking move along dhat (unit max-displacement) with mass re-projection.
 
-    Returns (V, perimeter, step): step is the accepted step length, or
+    Returns (V, functional, step): step is the accepted step length, or
     0.0 (and the input V, per) when no trial was accepted.
     """
     ref_scale = float(np.max(np.abs(V))) + 1.0
     t = step0
     while t > 1e-14 * ref_scale:
         Vt = V + t * dhat
-        if _star_ok(Vt, Vt.mean(axis=0)):
+        if ok(Vt):
             try:
-                Vt = _project_mass(dens, Vt, M0)
+                Vt = project(dens, Vt, M0)
             except NumericError:
                 t *= 0.5
                 continue
-            if _star_ok(Vt, Vt.mean(axis=0)):
-                pt = _perimeter(dens, Vt)
+            if ok(Vt):
+                pt = functional(dens, Vt)
                 if pt <= per:
                     return Vt, pt, t
         t *= 0.5
     return V, per, 0.0
 
 
-def descent_step(dens: Density, V: np.ndarray, M0: float, per: float,
-                 step0: float, steps: list[float]) -> tuple[np.ndarray, float, bool]:
-    """One projected-descent iteration; returns (V, perimeter, accepted).
+def _unit(direction: np.ndarray):
+    """direction scaled to unit max-displacement, or None when it vanishes."""
+    dmax = float(np.max(np.abs(direction)))
+    return direction / dmax if dmax > 1e-300 else None
 
-    The direction is -grad(P) with its component along grad(M) removed,
-    Sobolev-smoothed along the curve; trial curves are re-projected onto
-    the mass constraint and accepted only if star-shaped and not longer
-    (in weighted perimeter) than before.  Because vertex-wise descent
-    leaves the rigid-motion mode of an off-centre optimum nearly
-    stationary at fine resolutions, each iteration also line-searches the
-    rigid translation carried by the mean of the same direction field;
-    the projection step then slides the radius along the constraint.
 
-    steps holds the last accepted step of the smoothed, raw and
-    rigid-shift searches (0.0 for none); each search starts near its
-    entry (see _first_trial) and the list is updated in place.
+def _rigid_shift(d: np.ndarray, free: tuple[float, float]):
+    """Unit translation along the mean of the field's free components, or None."""
+    shift = d.mean(axis=0) * free
+    norm = float(math.hypot(shift[0], shift[1]))
+    return shift / norm if norm > 1e-300 else None
+
+
+def _descend(dens: Density, V: np.ndarray, M0: float, per: float, step0: float,
+             steps: list[float], functional_grad, mass_grad, smooth, pin, free,
+             search) -> tuple[np.ndarray, float, bool]:
+    """One projected-descent iteration; returns (V, functional, accepted).
+
+    The direction is -grad(P) with its component along grad(M) removed;
+    the Sobolev-smoothed direction is searched first, then the raw one,
+    which cleans up the vertex noise the smoother leaves.  Vertex-wise
+    descent leaves the rigid motion of an off-centre optimum nearly
+    stationary at fine resolutions, so a third search translates the
+    state along the mean of the field on its free axes; the projection
+    then slides the radius along the constraint.  Trials are accepted
+    only if valid and not longer (in the functional) than before.  pin
+    zeroes the degrees of freedom the state holds fixed.
+
+    steps holds the last accepted step of the three searches (0.0 for
+    none); each search starts near its entry (see _first_trial) and the
+    list is updated in place.
     """
-    _, gP = _perimeter_grad(dens, V)
-    _, gM = _mass_grad(dens, V)
+    gP = pin(functional_grad(dens, V)[1])
+    gM = pin(mass_grad(dens, V)[1])
     gM2 = float(np.sum(gM * gM))
     lam = float(np.sum(gP * gM) / gM2)
     d = -gP + lam * gM
-    ds = _smooth_closed(d)
-    ds -= (float(np.sum(ds * gM)) / gM2) * gM
+    ds = smooth(d)
+    ds = pin(ds - (float(np.sum(ds * gM)) / gM2) * gM)
     moved = False
-    # smoothed direction for the smooth modes, raw direction for mesh-scale
-    # cleanup; the smoother alone would leave vertex noise behind
-    for k, direction in enumerate((ds, d)):
-        dmax = float(np.max(np.abs(direction)))
-        if dmax > 1e-300:
-            V, per, steps[k] = _try_direction(dens, V, M0, per, direction / dmax,
-                                              _first_trial(step0, steps[k]))
+    for k, dhat in enumerate((_unit(ds), _unit(d), _rigid_shift(d, free))):
+        if dhat is not None:
+            V, per, steps[k] = search(dens, V, M0, per, dhat, _first_trial(step0, steps[k]))
             moved = moved or steps[k] > 0.0
-    shift = d.mean(axis=0)
-    norm = float(math.hypot(shift[0], shift[1]))
-    if norm > 1e-300:
-        V, per, steps[2] = _try_direction(dens, V, M0, per, shift / norm,
-                                          _first_trial(step0, steps[2]))
-        moved = moved or steps[2] > 0.0
     return V, per, moved
+
+
+def _drive(dens: Density, V: np.ndarray, M0: float, max_iters: int, tol: float,
+           project, functional, mass, step, edges, resample):
+    """Project V onto the mass constraint and descend until the run stops.
+
+    Stops when the functional's relative decrease over 50 iterations falls
+    below tol or after 25 iterations in a row without an accepted step;
+    resamples after every 100 accepted steps.  Returns (V, functional,
+    mass, iterations, converged).
+    """
+    V = project(dens, V, M0)
+    per = functional(dens, V)
+    iterations = 0
+    history = [per]
+    steps = [0.0, 0.0, 0.0]  # last accepted step per search direction
+    stalled = 0
+    since_resample = 0
+    plateau = False
+    while iterations < max_iters:
+        iterations += 1
+        E = edges(V)
+        step0 = 0.1 * float(np.mean(np.hypot(E[:, 0], E[:, 1])))
+        V, per, accepted = step(dens, V, M0, per, step0, steps)
+        if accepted:
+            stalled = 0
+            since_resample += 1
+        else:
+            stalled += 1
+            if stalled >= 25:
+                break
+        history.append(per)
+        if len(history) > 50 and history[-51] - per < tol * abs(per):
+            plateau = True
+            break
+        if since_resample >= 100:
+            V = project(dens, resample(V), M0)
+            per = functional(dens, V)
+            since_resample = 0
+    M = mass(dens, V)
+    converged = abs(M - M0) <= 1e-8 * M0 and (plateau or stalled >= 25)
+    return V, per, M, iterations, bool(converged)
+
+
+def _try_direction(dens: Density, V: np.ndarray, M0: float, per: float,
+                   dhat: np.ndarray, step0: float) -> tuple[np.ndarray, float, float]:
+    """Line search for a closed polygon, which must stay star-shaped."""
+    return _line_search(dens, V, M0, per, dhat, step0,
+                        lambda Vt: _star_ok(Vt, Vt.mean(axis=0)), _project_mass, _perimeter)
+
+
+def descent_step(dens: Density, V: np.ndarray, M0: float, per: float,
+                 step0: float, steps: list[float]) -> tuple[np.ndarray, float, bool]:
+    """One projected-descent iteration of a closed polygon (see _descend)."""
+    return _descend(dens, V, M0, per, step0, steps, _perimeter_grad, _mass_grad,
+                    _smooth_closed, lambda g: g, (1.0, 1.0), _try_direction)
 
 
 def evolve_2d(dens: Density, M0: float, n: int = 256, max_iters: int = 4000,
@@ -464,39 +534,9 @@ def evolve_2d(dens: Density, M0: float, n: int = 256, max_iters: int = 4000,
         raise ValueError("need at least 64 vertices")
     R = symmetric_ball(dens, Dimension(2), M0).radius
     V = PolyCurve.circle(R, center=(_initial_center(dens, R), 0.0), n=n).vertices
-    V = _project_mass(dens, V, M0)
-    per = _perimeter(dens, V)
-
-    iterations = 0
-    history = [per]
-    steps = [0.0, 0.0, 0.0]  # last accepted step per search direction
-    stalled = 0
-    since_resample = 0
-    plateau = False
-    while iterations < max_iters:
-        iterations += 1
-        E = np.roll(V, -1, axis=0) - V
-        mean_edge = float(np.mean(np.hypot(E[:, 0], E[:, 1])))
-        V, per, accepted = descent_step(dens, V, M0, per, 0.1 * mean_edge, steps)
-        if accepted:
-            stalled = 0
-            since_resample += 1
-        else:
-            stalled += 1
-            if stalled >= 25:
-                break
-        history.append(per)
-        if len(history) > 50 and history[-51] - per < tol * abs(per):
-            plateau = True
-            break
-        if since_resample >= 100:
-            V = _project_mass(dens, _resample_closed(V), M0)
-            per = _perimeter(dens, V)
-            since_resample = 0
-    converged_main = plateau or stalled >= 25
-
-    mass = _mass(dens, V)
-    mass_ok = abs(mass - M0) <= 1e-8 * M0
+    V, per, mass, iterations, converged = _drive(
+        dens, V, M0, max_iters, tol, _project_mass, _perimeter, _mass, descent_step,
+        lambda X: np.roll(X, -1, axis=0) - X, _resample_closed)
     curve = PolyCurve(V, validate=False)
     cx, cy, R_fit = _fit_circle(V)
     return EvolveReport(
@@ -506,7 +546,7 @@ def evolve_2d(dens: Density, M0: float, n: int = 256, max_iters: int = 4000,
         unweighted_perimeter=curve.unweighted_perimeter(),
         unweighted_area=curve.unweighted_area(),
         iterations=iterations,
-        converged=bool(mass_ok and converged_main),
+        converged=converged,
         curvature_spread=_curvature_spread(dens, V),
         radius_estimate=R_fit,
         center_offset_estimate=float(math.hypot(cx, cy)),
@@ -591,6 +631,12 @@ def _rev_mass_grad(dens: Density, W: np.ndarray) -> tuple[float, np.ndarray]:
     return mass, G
 
 
+def _pin_poles(G: np.ndarray) -> np.ndarray:
+    """Zero the y components of the two poles in place: they stay on the axis."""
+    G[0, 1] = G[-1, 1] = 0.0
+    return G
+
+
 def _profile_normals(W: np.ndarray) -> np.ndarray:
     E = W[1:] - W[:-1]
     L = np.maximum(np.hypot(E[:, 0], E[:, 1]), 1e-300)
@@ -600,7 +646,8 @@ def _profile_normals(W: np.ndarray) -> np.ndarray:
     N[1:] += ne
     nn = np.maximum(np.hypot(N[:, 0], N[:, 1]), 1e-300)
     N = N / nn[:, None]
-    # poles move along the axis only; the profile runs right pole -> left pole
+    # poles move along the axis only (so offsets along N keep them on it);
+    # the profile runs right pole -> left pole
     N[0] = [1.0, 0.0]
     N[-1] = [-1.0, 0.0]
     return N
@@ -615,20 +662,9 @@ def _profile_ok(W: np.ndarray) -> bool:
     return _star_ok(W, W.mean(axis=0))
 
 
-def _project_mass_rev(dens: Density, W: np.ndarray, M0: float,
-                      rel_tol: float = 1e-10, max_newton: int = 15) -> np.ndarray:
-    for _ in range(max_newton):
-        mass, gM = _rev_mass_grad(dens, W)
-        resid = mass - M0
-        if abs(resid) <= rel_tol * M0:
-            return W
-        N = _profile_normals(W)
-        slope = float(np.sum(gM * N))
-        if slope <= 0.0:
-            raise NumericError("mass projection lost its outward slope")
-        W = W + (-resid / slope) * N
-        W[0, 1] = W[-1, 1] = 0.0
-    raise NumericError("mass projection did not converge")
+def _project_mass_rev(dens: Density, W: np.ndarray, M0: float) -> np.ndarray:
+    """Mass projection of a profile; the pole normals keep the poles on the axis."""
+    return _project(dens, W, M0, _rev_mass_grad, _profile_normals)
 
 
 def _resample_profile(W: np.ndarray) -> np.ndarray:
@@ -641,59 +677,21 @@ def _resample_profile(W: np.ndarray) -> np.ndarray:
     ext = np.vstack([W[0] + (W[0] - W[1]), W, W[-1] + (W[-1] - W[-2])])
     out = _catmull_rom(ext[idx], ext[idx + 1], ext[idx + 2], ext[idx + 3], t)
     out[0], out[-1] = W[0], W[-1]
-    out[0, 1] = out[-1, 1] = 0.0
-    return out
+    return _pin_poles(out)
 
 
 def _try_direction_rev(dens: Density, W: np.ndarray, M0: float, area: float,
                        dhat: np.ndarray, step0: float) -> tuple[np.ndarray, float, float]:
-    ref_scale = float(np.max(np.abs(W))) + 1.0
-    t = step0
-    while t > 1e-14 * ref_scale:
-        Wt = W + t * dhat
-        Wt[0, 1] = Wt[-1, 1] = 0.0
-        if _profile_ok(Wt):
-            try:
-                Wt = _project_mass_rev(dens, Wt, M0)
-            except NumericError:
-                t *= 0.5
-                continue
-            if _profile_ok(Wt):
-                st = _rev_area(dens, Wt)
-                if st <= area:
-                    return Wt, st, t
-        t *= 0.5
-    return W, area, 0.0
+    """Line search for a profile; dhat must keep the poles' y at zero, as _descend's do."""
+    return _line_search(dens, W, M0, area, dhat, step0, _profile_ok, _project_mass_rev,
+                        _rev_area)
 
 
 def _rev_step(dens: Density, W: np.ndarray, M0: float, area: float,
               step0: float, steps: list[float]) -> tuple[np.ndarray, float, bool]:
-    """Axisymmetric counterpart of descent_step, with the same steps memory."""
-    _, gS = _rev_area_grad(dens, W)
-    _, gM = _rev_mass_grad(dens, W)
-    for g in (gS, gM):
-        g[0, 1] = g[-1, 1] = 0.0  # poles stay on the axis
-    gM2 = float(np.sum(gM * gM))
-    lam = float(np.sum(gS * gM) / gM2)
-    d = -gS + lam * gM
-    ds = _smooth_open(d)
-    ds -= (float(np.sum(ds * gM)) / gM2) * gM
-    ds[0, 1] = ds[-1, 1] = 0.0
-    moved = False
-    for k, direction in enumerate((ds, d)):
-        dmax = float(np.max(np.abs(direction)))
-        if dmax > 1e-300:
-            W, area, steps[k] = _try_direction_rev(dens, W, M0, area, direction / dmax,
-                                                   _first_trial(step0, steps[k]))
-            moved = moved or steps[k] > 0.0
-    # axial translation carried by the mean of the direction field
-    shift = float(d[:, 0].mean())
-    if abs(shift) > 1e-300:
-        axis = np.array([math.copysign(1.0, shift), 0.0])
-        W, area, steps[2] = _try_direction_rev(dens, W, M0, area, axis,
-                                               _first_trial(step0, steps[2]))
-        moved = moved or steps[2] > 0.0
-    return W, area, moved
+    """One projected-descent iteration of a profile (see _descend)."""
+    return _descend(dens, W, M0, area, step0, steps, _rev_area_grad, _rev_mass_grad,
+                    _smooth_open, _pin_poles, (1.0, 0.0), _try_direction_rev)
 
 
 def evolve_3d_axisym(dens: Density, M0: float, n: int = 129, max_iters: int = 4000,
@@ -708,48 +706,14 @@ def evolve_3d_axisym(dens: Density, M0: float, n: int = 129, max_iters: int = 40
     if n < 17:
         raise ValueError("need at least 17 profile points")
     R = symmetric_ball(dens, Dimension(3), M0).radius
-    x0 = _initial_center(dens, R)
     theta = np.linspace(0.0, math.pi, n)
-    W = np.column_stack([x0 + R * np.cos(theta), R * np.sin(theta)])
-    W[0, 1] = W[-1, 1] = 0.0
-    W = _project_mass_rev(dens, W, M0)
-    area = _rev_area(dens, W)
-
-    iterations = 0
-    history = [area]
-    steps = [0.0, 0.0, 0.0]  # last accepted step per search direction
-    stalled = 0
-    since_resample = 0
-    plateau = False
-    while iterations < max_iters:
-        iterations += 1
-        seg = np.hypot(np.diff(W[:, 0]), np.diff(W[:, 1]))
-        W, area, accepted = _rev_step(dens, W, M0, area, 0.1 * float(np.mean(seg)),
-                                      steps)
-        if accepted:
-            stalled = 0
-            since_resample += 1
-        else:
-            stalled += 1
-            if stalled >= 25:
-                break
-        history.append(area)
-        if len(history) > 50 and history[-51] - area < tol * abs(area):
-            plateau = True
-            break
-        if since_resample >= 100:
-            W = _project_mass_rev(dens, _resample_profile(W), M0)
-            area = _rev_area(dens, W)
-            since_resample = 0
-    converged_main = plateau or stalled >= 25
-
-    mass = _rev_mass(dens, W)
-    mass_ok = abs(mass - M0) <= 1e-8 * M0
+    W = _pin_poles(np.column_stack([_initial_center(dens, R) + R * np.cos(theta),
+                                    R * np.sin(theta)]))
+    W, area, mass, iterations, converged = _drive(
+        dens, W, M0, max_iters, tol, _project_mass_rev, _rev_area, _rev_mass, _rev_step,
+        lambda X: np.diff(X, axis=0), _resample_profile)
     # full meridional cross-section: profile plus its mirror image
-    mirror = W[::-1].copy()
-    mirror[:, 1] *= -1.0
-    section = np.vstack([W, mirror[1:-1]])
-    curve = PolyCurve(section, validate=False)
+    curve = PolyCurve(np.vstack([W, W[-2:0:-1] * [1.0, -1.0]]), validate=False)
     cx, cy, R_fit = _fit_circle(W)
     A, B = W[:-1], W[1:]
     L = np.hypot((B - A)[:, 0], (B - A)[:, 1])
@@ -763,7 +727,7 @@ def evolve_3d_axisym(dens: Density, M0: float, n: int = 129, max_iters: int = 40
         unweighted_perimeter=area_u,
         unweighted_area=vol_u,
         iterations=iterations,
-        converged=bool(mass_ok and converged_main),
+        converged=converged,
         curvature_spread=math.nan,
         radius_estimate=R_fit,
         center_offset_estimate=float(abs(cx)),

@@ -85,14 +85,29 @@ def test_sweep_1d_p2_perimeter_flat_then_rising(tmp_path, capsys):
 
 
 def test_sweep_byte_identical(tmp_path, capsys):
-    for argv in (["--dim", "1", "--p", "0.5", "--a-min", "0.05", "--a-max", "0.8",
-                  "--steps", "17"],
-                 ["--dim", "2", "--p", "2", "--a-min", "0", "--a-max", "1", "--steps", "9"]):
-        f1, f2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
-        for f in (f1, f2):
-            code, _, _ = run_cli(capsys, "sweep", *argv, "--mass", "1", "--out", str(f))
-            assert code == 0
-        assert f1.read_bytes() == f2.read_bytes()
+    f1, f2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
+    for f in (f1, f2):
+        code, _, _ = run_cli(capsys, "sweep", "--dim", "1", "--p", "0.5", "--mass", "1",
+                             "--a-min", "0.05", "--a-max", "0.8", "--steps", "17",
+                             "--out", str(f))
+        assert code == 0
+    assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_sweep_parallel_same_bytes(tmp_path, capsys, monkeypatch):
+    # ISODENSE_THREADS once chose a thread pool for sweeps; a stale setting
+    # must leave the output unchanged
+    f1, f2 = tmp_path / "serial.csv", tmp_path / "par.csv"
+    code, _, _ = run_cli(capsys, "sweep", "--dim", "2", "--p", "2", "--mass", "1",
+                         "--a-min", "0", "--a-max", "1", "--steps", "9",
+                         "--out", str(f1))
+    assert code == 0
+    monkeypatch.setenv("ISODENSE_THREADS", "4")
+    code, _, _ = run_cli(capsys, "sweep", "--dim", "2", "--p", "2", "--mass", "1",
+                         "--a-min", "0", "--a-max", "1", "--steps", "9",
+                         "--out", str(f2))
+    assert code == 0
+    assert f1.read_bytes() == f2.read_bytes()
 
 
 @pytest.mark.parametrize("mass", ["nan", "inf", "0", "-1"])

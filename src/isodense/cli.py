@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .density import Density, Dimension, critical_mass, critical_offset
+from .density import Density, Dimension, check_mass, critical_mass, critical_offset
 from .evolver import evolve_2d, evolve_3d_axisym, isoperimetric_quotient
 from .interval1d import (
     Interval,
@@ -83,8 +83,10 @@ def _write_csv(path: Optional[str], header: list[str], rows: list[list]) -> None
 def positive_float(text: str) -> float:
     """argparse type of every --mass: NaN, infinities and values <= 0 are usage errors."""
     value = float(text)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    try:
+        check_mass(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 

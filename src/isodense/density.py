@@ -22,12 +22,19 @@ import numpy as np
 __all__ = [
     "Density",
     "Dimension",
+    "check_mass",
     "critical_offset",
     "critical_offset_1d",
     "critical_mass",
 ]
 
 _K_D = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
+
+
+def check_mass(mass: float) -> None:
+    """Raise ValueError unless the mass is positive and finite (NaN is neither)."""
+    if not 0.0 < mass < math.inf:
+        raise ValueError(f"mass must be positive and finite, got {mass}")
 
 
 @dataclass(frozen=True)
@@ -110,8 +117,7 @@ def critical_offset(p: float, dim: Dimension, mass: float) -> float:
     """
     if p <= 1.0:
         raise ValueError("critical offset is defined only for p > 1")
-    if mass <= 0.0:
-        raise ValueError("mass must be positive")
+    check_mass(mass)
     d = dim.d
     base = d * (p + d) / (dim.k_d * p * (d + 1))
     return base ** (p / (p + d)) * (p - 1.0) ** (-d / (p + d)) * mass ** (p / (p + d))
@@ -121,8 +127,7 @@ def critical_offset_1d(p: float, mass: float) -> float:
     """Dedicated 1D form of the critical offset: ((p+1)/(4p))^(p/(p+1)) (p-1)^(-1/(p+1)) M^(p/(p+1))."""
     if p <= 1.0:
         raise ValueError("critical offset is defined only for p > 1")
-    if mass <= 0.0:
-        raise ValueError("mass must be positive")
+    check_mass(mass)
     return ((p + 1.0) / (4.0 * p)) ** (p / (p + 1.0)) * (p - 1.0) ** (-1.0 / (p + 1.0)) \
         * mass ** (p / (p + 1.0))
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import Density, Dimension
+from .density import Density, Dimension, check_mass
 from .numerics import NumericError, gauss_legendre_nodes
 from .radial import symmetric_ball
 
@@ -380,21 +380,28 @@ def _initial_center(dens: Density, R: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _first_trial(step0: float, last: float) -> float:
-    """Initial step of a line search: near the direction's last accepted step.
+    """Initial step of a line search: near the step the last search remembered.
 
-    Nocedal & Wright's initial-step heuristic: start at four times the step
-    the previous search along the same direction accepted, capped at step0;
-    with no accepted step on record (last == 0.0) start at step0.
+    Nocedal & Wright's initial-step heuristic: start at four times the
+    memory of the previous search along the same direction (its accepted
+    step, or its smallest trial when it failed), capped at step0; with
+    nothing on record (last == 0.0: a new run or a fresh resample) start
+    at step0.
     """
     return min(4.0 * last, step0) if last > 0.0 else step0
 
 
 def _line_search(dens: Density, V: np.ndarray, M0: float, per: float, dhat: np.ndarray,
-                 step0: float, ok, project, functional) -> tuple[np.ndarray, float, float]:
+                 step0: float, ok, project, functional
+                 ) -> tuple[np.ndarray, float, float, float]:
     """Backtracking move along dhat (unit max-displacement) with mass re-projection.
 
-    Returns (V, functional, step): step is the accepted step length, or
-    0.0 (and the input V, per) when no trial was accepted.
+    Returns (V, functional, step, memory): step is the accepted step
+    length, or 0.0 (and the input V, per) when no trial was accepted.
+    memory, from which _first_trial starts the next search along the same
+    direction, is the accepted step or, after a failure, the smallest
+    trial made (step0 if none was): a direction that has stopped
+    descending is not halved again all the way down from the cap.
     """
     ref_scale = float(np.max(np.abs(V))) + 1.0
     t = step0
@@ -409,9 +416,9 @@ def _line_search(dens: Density, V: np.ndarray, M0: float, per: float, dhat: np.n
             if ok(Vt):
                 pt = functional(dens, Vt)
                 if pt <= per:
-                    return Vt, pt, t
+                    return Vt, pt, t, t
         t *= 0.5
-    return V, per, 0.0
+    return V, per, 0.0, min(2.0 * t, step0)
 
 
 def _unit(direction: np.ndarray):
@@ -442,9 +449,9 @@ def _descend(dens: Density, V: np.ndarray, M0: float, per: float, step0: float,
     only if valid and not longer (in the functional) than before.  pin
     zeroes the degrees of freedom the state holds fixed.
 
-    steps holds the last accepted step of the three searches (0.0 for
-    none); each search starts near its entry (see _first_trial) and the
-    list is updated in place.
+    steps holds the memory of the three searches (see _line_search; 0.0
+    for none); each search starts near its entry (see _first_trial) and
+    the list is updated in place.
     """
     gP = pin(functional_grad(dens, V)[1])
     gM = pin(mass_grad(dens, V)[1])
@@ -456,9 +463,19 @@ def _descend(dens: Density, V: np.ndarray, M0: float, per: float, step0: float,
     moved = False
     for k, dhat in enumerate((_unit(ds), _unit(d), _rigid_shift(d, free))):
         if dhat is not None:
-            V, per, steps[k] = search(dens, V, M0, per, dhat, _first_trial(step0, steps[k]))
-            moved = moved or steps[k] > 0.0
+            V, per, step, steps[k] = search(dens, V, M0, per, dhat,
+                                            _first_trial(step0, steps[k]))
+            moved = moved or step > 0.0
     return V, per, moved
+
+
+def _check_run(M0: float, max_iters: int, tol: float) -> None:
+    """ValueError unless M0 is a valid mass, max_iters >= 0 and 0 <= tol < inf."""
+    check_mass(M0)
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be nonnegative and finite, got {tol}")
 
 
 def _drive(dens: Density, V: np.ndarray, M0: float, max_iters: int, tol: float,
@@ -467,14 +484,15 @@ def _drive(dens: Density, V: np.ndarray, M0: float, max_iters: int, tol: float,
 
     Stops when the functional's relative decrease over 50 iterations falls
     below tol or after 25 iterations in a row without an accepted step;
-    resamples after every 100 accepted steps.  Returns (V, functional,
-    mass, iterations, converged).
+    resamples after every 100 accepted steps and then forgets the line
+    searches' memories, as at the start.  Returns (V, functional, mass,
+    iterations, converged).
     """
     V = project(dens, V, M0)
     per = functional(dens, V)
     iterations = 0
     history = [per]
-    steps = [0.0, 0.0, 0.0]  # last accepted step per search direction
+    steps = [0.0, 0.0, 0.0]  # line-search memory per search direction
     stalled = 0
     since_resample = 0
     plateau = False
@@ -497,6 +515,7 @@ def _drive(dens: Density, V: np.ndarray, M0: float, max_iters: int, tol: float,
         if since_resample >= 100:
             V = project(dens, resample(V), M0)
             per = functional(dens, V)
+            steps = [0.0, 0.0, 0.0]
             since_resample = 0
     M = mass(dens, V)
     converged = abs(M - M0) <= 1e-8 * M0 and (plateau or stalled >= 25)
@@ -504,7 +523,7 @@ def _drive(dens: Density, V: np.ndarray, M0: float, max_iters: int, tol: float,
 
 
 def _try_direction(dens: Density, V: np.ndarray, M0: float, per: float,
-                   dhat: np.ndarray, step0: float) -> tuple[np.ndarray, float, float]:
+                   dhat: np.ndarray, step0: float) -> tuple[np.ndarray, float, float, float]:
     """Line search for a closed polygon, which must stay star-shaped."""
     return _line_search(dens, V, M0, per, dhat, step0,
                         lambda Vt: _star_ok(Vt, Vt.mean(axis=0)), _project_mass, _perimeter)
@@ -528,8 +547,7 @@ def evolve_2d(dens: Density, M0: float, n: int = 256, max_iters: int = 4000,
     satisfied) or when no further downhill step exists at the mesh
     resolution.
     """
-    if M0 <= 0.0:
-        raise ValueError("mass must be positive")
+    _check_run(M0, max_iters, tol)
     if n < 64:
         raise ValueError("need at least 64 vertices")
     R = symmetric_ball(dens, Dimension(2), M0).radius
@@ -681,7 +699,8 @@ def _resample_profile(W: np.ndarray) -> np.ndarray:
 
 
 def _try_direction_rev(dens: Density, W: np.ndarray, M0: float, area: float,
-                       dhat: np.ndarray, step0: float) -> tuple[np.ndarray, float, float]:
+                       dhat: np.ndarray, step0: float
+                       ) -> tuple[np.ndarray, float, float, float]:
     """Line search for a profile; dhat must keep the poles' y at zero, as _descend's do."""
     return _line_search(dens, W, M0, area, dhat, step0, _profile_ok, _project_mass_rev,
                         _rev_area)
@@ -701,8 +720,7 @@ def evolve_3d_axisym(dens: Density, M0: float, n: int = 129, max_iters: int = 40
     The state is a half-profile polyline revolved about the x-axis, with
     the poles pinned to the axis; otherwise the scheme matches evolve_2d.
     """
-    if M0 <= 0.0:
-        raise ValueError("mass must be positive")
+    _check_run(M0, max_iters, tol)
     if n < 17:
         raise ValueError("need at least 17 profile points")
     R = symmetric_ball(dens, Dimension(3), M0).radius

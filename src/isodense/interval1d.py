@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .density import Density
+from .density import Density, check_mass
 from .numerics import NumericError
 
 _NEWTON_CAP = 100  # Newton steps allowed per inverse; from its start it needs under ten
@@ -167,8 +167,7 @@ def solve_p2(a: float, M0: float) -> IntervalSolution:
     the critical offset the optimum is symmetric, with beta from the
     solved cubic of the symmetric mass constraint.
     """
-    if M0 <= 0.0:
-        raise ValueError("mass must be positive")
+    check_mass(M0)
     if a < 0.0:
         raise ValueError("offset must be nonnegative")
     dens = Density(2.0, a)
@@ -195,8 +194,7 @@ def solve_p1(a: float, M0: float) -> IntervalSolution:
     beta = -a + sqrt(a**2 + 2*M0) and perimeter a + sqrt(a**2 + 2*M0);
     the symmetric regime never occurs for p = 1.
     """
-    if M0 <= 0.0:
-        raise ValueError("mass must be positive")
+    check_mass(M0)
     if a < 0.0:
         raise ValueError("offset must be nonnegative")
     root = math.sqrt(a * a + 2.0 * M0)
@@ -241,8 +239,7 @@ def solve_p_lt_1_batch(p: float, a_values, M0: float) -> list[IntervalSolution]:
     """
     if not 0.0 < p < 1.0:
         raise ValueError("this solver requires 0 < p < 1")
-    if not M0 > 0.0:
-        raise ValueError("mass must be positive")
+    check_mass(M0)
     a_all = np.asarray(a_values, dtype=float).reshape(-1)
     dens = [Density(p, a) for a in a_all.tolist()]  # validates every offset
     out = []
@@ -269,8 +266,7 @@ def solve_symmetric(dens: Density, M0: float) -> IntervalSolution:
     """
     if dens.p <= 1.0:
         raise ValueError("symmetric solver requires p > 1")
-    if M0 <= 0.0:
-        raise ValueError("mass must be positive")
+    check_mass(M0)
     beta = _invert_primitive(dens, 0.5 * M0)
     return _solution(dens, beta, beta, M0, IntervalBranch.SYMMETRIC)
 
@@ -303,8 +299,7 @@ def solve_general_batch(p: float, a_values, M0: float) -> list[IntervalSolution]
     The exact s = 0 and symmetric candidates are always probed as well.
     Offsets go in blocks of _BLOCK; no row's result depends on the others.
     """
-    if not M0 > 0.0:
-        raise ValueError("mass must be positive")
+    check_mass(M0)
     a = np.asarray(a_values, dtype=float).reshape(-1)
     if a.size > _BLOCK:
         return [sol for k in range(0, a.size, _BLOCK)
@@ -357,8 +352,7 @@ def brute_force_oracle(dens: Density, M0: float, grid_n: int) -> IntervalSolutio
     """
     if grid_n < 100:
         raise ValueError("grid_n must be at least 100")
-    if M0 <= 0.0:
-        raise ValueError("mass must be positive")
+    check_mass(M0)
     p, a = dens.p, dens.a
     L = _invert_primitive(dens, M0)
     s = np.linspace(0.0, L, grid_n)

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .density import Density, Dimension
+from .density import Density, Dimension, check_mass
 from .numerics import NumericError, bisect, gauss_legendre_nodes, grow_bracket
 
 __all__ = [
@@ -100,8 +100,7 @@ def symmetric_ball(dens: Density, dim: Dimension, M0: float) -> BallSolution:
     """
     if dim.d not in (2, 3):
         raise ValueError("symmetric_ball requires d in {2, 3}")
-    if M0 <= 0.0:
-        raise ValueError("mass must be positive")
+    check_mass(M0)
     d = dim.d
 
     def resid(R: float) -> float:
@@ -149,8 +148,7 @@ def solve_2d_p2(a: float, M0: float) -> BallSolution:
     perimeter 4*pi*R**3, independent of a.  Above a_crit it is centred,
     with R**2 = -a + sqrt(a**2 + 2*M0/pi).
     """
-    if M0 <= 0.0:
-        raise ValueError("mass must be positive")
+    check_mass(M0)
     if a < 0.0:
         raise ValueError("offset must be nonnegative")
     dim = Dimension(2)
@@ -175,8 +173,7 @@ def solve_3d_p2(a: float, M0: float) -> BallSolution:
     sqrt(R**2 - a) and surface area 8*pi*R**4, independent of a.  Above
     a_crit it is centred, with the radius solved numerically.
     """
-    if M0 <= 0.0:
-        raise ValueError("mass must be positive")
+    check_mass(M0)
     if a < 0.0:
         raise ValueError("offset must be nonnegative")
     dim = Dimension(3)

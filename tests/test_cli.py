@@ -126,6 +126,17 @@ def test_mass_must_be_positive_and_finite(capsys, argv, mass):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("budget", [["--iters", "-5"], ["--tol", "nan"], ["--tol", "inf"],
+                                    ["--tol", "-1"]], ids=" ".join)
+@pytest.mark.parametrize("dim", ["2", "3"])
+def test_evolve_rejects_bad_iters_and_tol(capsys, dim, budget):
+    code, out, err = run_cli(capsys, "evolve", "--dim", dim, "--p", "2", "--a", "0.2", *budget)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--dim", "1", "--p", "4", "--a", "0.1", "--mass", "1e-300"],
     ["solve", "--dim", "1", "--p", "4", "--a", "1e200", "--mass", "1"],

@@ -6,11 +6,23 @@ import pytest
 from isodense import (
     Density,
     Dimension,
+    brute_force_oracle,
     critical_mass,
     critical_offset,
     critical_offset_1d,
+    evolve_2d,
+    evolve_3d_axisym,
     gauss_legendre,
+    solve_2d_p2,
+    solve_3d_p2,
+    solve_general,
+    solve_p1,
+    solve_p2,
+    solve_p_lt_1,
+    solve_symmetric,
+    symmetric_ball,
 )
+from isodense.density import check_mass
 
 
 def test_eval_examples():
@@ -143,3 +155,34 @@ def test_dimension_constants():
     assert Dimension(3).k_d == pytest.approx(4 * math.pi)
     with pytest.raises(ValueError):
         Dimension(4)
+
+
+# every public entry point that takes a mass, its other arguments valid
+_MASS_TAKERS = {
+    "solve_p2": lambda m: solve_p2(0.2, m),
+    "solve_p1": lambda m: solve_p1(0.2, m),
+    "solve_p_lt_1": lambda m: solve_p_lt_1(Density(0.5, 0.2), m),
+    "solve_symmetric": lambda m: solve_symmetric(Density(4, 1.0), m),
+    "solve_general": lambda m: solve_general(Density(4, 0.3), m),
+    "brute_force_oracle": lambda m: brute_force_oracle(Density(4, 0.3), m, 100),
+    "symmetric_ball": lambda m: symmetric_ball(Density(4, 0.1), Dimension(2), m),
+    "solve_2d_p2": lambda m: solve_2d_p2(0.2, m),
+    "solve_3d_p2": lambda m: solve_3d_p2(0.2, m),
+    "evolve_2d": lambda m: evolve_2d(Density(2, 0.2), m, n=64, max_iters=0),
+    "evolve_3d_axisym": lambda m: evolve_3d_axisym(Density(2, 0.2), m, n=17, max_iters=0),
+    "critical_offset": lambda m: critical_offset(4, Dimension(2), m),
+    "critical_offset_1d": lambda m: critical_offset_1d(4, m),
+}
+
+
+@pytest.mark.filterwarnings("error")  # no RuntimeWarning on the way to the error
+@pytest.mark.parametrize("mass", [math.nan, math.inf, -math.inf, 0.0, -1.0], ids=str)
+@pytest.mark.parametrize("solve", list(_MASS_TAKERS.values()), ids=list(_MASS_TAKERS))
+def test_every_solver_rejects_a_mass_that_is_not_positive_and_finite(solve, mass):
+    with pytest.raises(ValueError, match="mass must be positive and finite"):
+        solve(mass)
+
+
+def test_check_mass_accepts_extreme_finite_masses():
+    for mass in (5e-324, 1e-300, 1.0, 1e300, np.float64(2.0)):
+        check_mass(mass)

@@ -46,6 +46,21 @@ def _wobbly_curve(n=64, seed=0, center=(0.15, -0.1)):
                             center[1] + r * np.sin(theta)])
 
 
+def _wobbly_profile():
+    th = np.linspace(0.0, math.pi, 33)
+    W = np.column_stack([0.3 + 0.8 * np.cos(th) + 0.05 * np.sin(2 * th),
+                         0.8 * np.sin(th) * (1.0 + 0.1 * np.cos(3 * th))])
+    W[0, 1] = W[-1, 1] = 0.0
+    return W
+
+
+def _benchmark_tracing(monkeypatch):
+    """perfbench/tracing.py, the benchmark's per-layer instrumentation."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+    return tracing
+
+
 def test_polycurve_validation():
     with pytest.raises(ValueError):
         PolyCurve(np.zeros((8, 2)))
@@ -186,11 +201,7 @@ def test_descent_steps_monotone_and_mass_conserving():
         V, per = V2, per2
 
     # the axisymmetric profile: the poles must stay exactly on the axis
-    th = np.linspace(0.0, math.pi, 33)
-    W = np.column_stack([0.3 + 0.8 * np.cos(th) + 0.05 * np.sin(2 * th),
-                         0.8 * np.sin(th) * (1.0 + 0.1 * np.cos(3 * th))])
-    W[0, 1] = W[-1, 1] = 0.0
-    W = _project_mass_rev(dens, W, M0)
+    W = _project_mass_rev(dens, _wobbly_profile(), M0)
     area = _rev_area(dens, W)
     steps = [0.0, 0.0, 0.0]
     moves = 0
@@ -204,6 +215,44 @@ def test_descent_steps_monotone_and_mass_conserving():
             assert abs(_rev_mass(dens, W2) - M0) <= 1e-8 * M0
         W, area = W2, area2
     assert moves > 0
+
+
+def _uphill(dens, X, functional_grad, mass_grad, pin):
+    """+grad(P) with its grad(M) component removed: the reverse of _descend's field."""
+    gP = pin(functional_grad(dens, X)[1])
+    gM = pin(mass_grad(dens, X)[1])
+    return ev._unit(gP - float(np.sum(gP * gM) / np.sum(gM * gM)) * gM)
+
+
+def test_failed_line_search_keeps_state_and_remembers_its_smallest_trial(monkeypatch):
+    # every trial uphill along the constraint is rejected, down to the
+    # 1e-14 floor; the next search along the direction starts near there
+    dens, M0, step0 = Density(2, 0.3), 1.0, 0.01
+    V = _project_mass(dens, _wobbly_curve(n=96, seed=4, center=(0.3, 0.0)), M0)
+    W = _project_mass_rev(dens, _wobbly_profile(), M0)
+    cases = [("_try_direction", V, _perimeter(dens, V),
+              _uphill(dens, V, _perimeter_grad, _mass_grad, lambda g: g)),
+             ("_try_direction_rev", W, _rev_area(dens, W),
+              _uphill(dens, W, _rev_area_grad, _rev_mass_grad, ev._pin_poles))]
+    for name, X, per, dhat in cases:
+        Y, per2, step, memory = getattr(ev, name)(dens, X, M0, per, dhat, step0)
+        floor = 1e-14 * (float(np.max(np.abs(X))) + 1.0)
+        assert Y is X and per2 == per and step == 0.0, name
+        assert 0.0 < memory <= 2.0 * floor, name
+        assert ev._first_trial(step0, memory) == 4.0 * memory
+
+    # the benchmark reads the third element as "accepted"
+    tracing = _benchmark_tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    hooks = tracing.Instrumentation(tracer)
+    hooks.install()
+    try:
+        for name, X, per, dhat in cases:
+            getattr(ev, name)(dens, X, M0, per, dhat, step0)
+    finally:
+        hooks.remove()
+    assert tracer.counts["evolver.linesearch"] == 2
+    assert tracer.counts["evolver.linesearch_accepted"] == 0
 
 
 def test_resample_preserves_geometry():
@@ -244,6 +293,9 @@ def test_evolve_2d_matches_closed_form_small(monkeypatch):
     # line searches warm-started per direction: a cold start at a tenth of
     # the mean edge on every search takes 8982 mass-gradient evaluations here
     assert calls[0] <= 8982 * 2 // 3
+    # failed searches remember their smallest trial; forgetting it (and
+    # starting again at the cap) took 4103 evaluations here
+    assert calls[0] <= 4103 // 2
 
 
 def test_evolve_2d_refinement_convergence():
@@ -265,6 +317,21 @@ def test_evolve_2d_rejects_bad_input():
         evolve_2d(Density(2, 0.2), -1.0)
     with pytest.raises(ValueError):
         evolve_2d(Density(2, 0.2), 1.0, n=32)
+
+
+@pytest.mark.parametrize("evolve", [evolve_2d, evolve_3d_axisym])
+@pytest.mark.parametrize("budget", [{"max_iters": -5}, {"tol": math.nan}, {"tol": math.inf},
+                                    {"tol": -1e-9}], ids=str)
+def test_evolvers_reject_bad_budget(evolve, budget):
+    with pytest.raises(ValueError):
+        evolve(Density(2, 0.2), 1.0, n=64, **budget)
+
+
+def test_evolvers_accept_zero_iterations():
+    for evolve in (evolve_2d, evolve_3d_axisym):
+        report = evolve(Density(2, 0.2), 1.0, n=64, max_iters=0, tol=0.0)
+        assert report.iterations == 0 and not report.converged
+        assert abs(report.weighted_mass - 1.0) <= 1e-8
 
 
 def test_isoperimetric_quotient():
@@ -292,6 +359,8 @@ def test_evolve_3d_matches_closed_form_small(monkeypatch):
     assert abs(report.weighted_mass - 1.0) <= 1e-8
     # cold-started line searches take 9904 mass-gradient evaluations here
     assert calls[0] <= 9904 * 2 // 3
+    # without the memory of failed searches: 5573
+    assert calls[0] <= 5573 // 2
 
 
 def test_evolve_3d_centred():
@@ -336,8 +405,7 @@ def test_evolve_3d_a0_sphere_touches_origin():
 def test_benchmark_tracer_hooks_see_both_states(monkeypatch):
     # the benchmark's per-layer counters wrap these evolver module attributes;
     # a renamed or bypassed hook reads zero here
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    import tracing
+    tracing = _benchmark_tracing(monkeypatch)
     runs = (lambda: evolve_2d(Density(2.0, 0.2), 1.0, n=64, max_iters=2),
             lambda: evolve_3d_axisym(Density(2.0, 0.1), 1.0, n=17, max_iters=2))
     for run in runs:

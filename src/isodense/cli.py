@@ -50,8 +50,12 @@ VERIFY_SUITES = ("oracle1d", "branch-continuity", "reduction", "radial-quadratur
                  "evolver-p2")
 
 
+# Rows formatted and written at a time: the CSV text held in memory is one block.
+CSV_BLOCK_ROWS = 4096
+
+
 def _fmt(x: float) -> str:
-    return f"{x + 0.0:.12g}" if x == 0.0 else f"{x:.12g}"
+    return f"{x + 0.0:.12g}"  # + 0.0 prints -0.0 as 0
 
 
 def _round12(obj):
@@ -68,16 +72,35 @@ def _emit_json(record: dict) -> None:
     print(json.dumps(_round12(record), sort_keys=True))
 
 
-def _write_csv(path: Optional[str], header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    text = "\n".join(lines) + "\n"
+def _write_csv(path: Optional[str], header: list[str], columns: list) -> None:
+    """Write equal-length columns as CSV rows to path (stdout if None).
+
+    A float ndarray column prints as %.12g, with -0.0 as 0, as _fmt does;
+    any other column (a sequence of str or int, or an int ndarray) prints
+    as str.  Rows are formatted with one %-template per block of
+    CSV_BLOCK_ROWS and written as they are formatted.
+    """
+    floats = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
+    row = ",".join("%.12g" if f else "%s" for f in floats) + "\n"
+    width, n = len(columns), len(columns[0])
+
+    def blocks():
+        yield ",".join(header) + "\n"
+        for lo in range(0, n, CSV_BLOCK_ROWS):
+            hi = min(lo + CSV_BLOCK_ROWS, n)
+            values = [None] * ((hi - lo) * width)
+            for j, (col, is_float) in enumerate(zip(columns, floats)):
+                part = col[lo:hi]
+                if isinstance(part, np.ndarray):
+                    part = (part + 0.0 if is_float else part).tolist()
+                values[j::width] = part
+            yield row * (hi - lo) % tuple(values)
+
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks())
     else:
         with open(path, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(blocks())
 
 
 def positive_float(text: str) -> float:
@@ -149,8 +172,10 @@ def _cmd_sweep(args) -> int:
     sols = _dispatch(args.dim, args.p, avals, args.mass)
     end_cols = ["alpha", "beta"] if args.dim == 1 else ["R", "r0"]
     header = ["a", "branch", *end_cols, "perimeter", "mass_residual"]
-    records = (_solution_record(args.dim, args.p, a, args.mass, s) for a, s in zip(avals, sols))
-    _write_csv(args.out, header, [[rec[k] for k in header] for rec in records])
+    records = [_solution_record(args.dim, args.p, a, args.mass, s) for a, s in zip(avals, sols)]
+    _write_csv(args.out, header,
+               [[rec[k] for rec in records] if k == "branch"
+                else np.array([rec[k] for rec in records], dtype=float) for k in header])
     return 0
 
 
@@ -163,17 +188,14 @@ def _cmd_contour(args) -> int:
     extent = 1.05 * _invert_primitive(dens, args.mass)
     grid = contour_grid(dens, extent, extent, args.grid)
     # flag grid nodes within half a cell of the target-mass level set
-    dm_i = np.max(np.abs(np.diff(grid.mass, axis=0))) if args.grid > 1 else 0.0
-    dm_j = np.max(np.abs(np.diff(grid.mass, axis=1))) if args.grid > 1 else 0.0
+    dm_i = np.max(np.abs(np.diff(grid.mass, axis=0)))
+    dm_j = np.max(np.abs(np.diff(grid.mass, axis=1)))
     band = 0.5 * max(dm_i, dm_j)
-    rows = []
-    for i in range(args.grid):
-        for j in range(args.grid):
-            m = float(grid.mass[i, j])
-            rows.append([float(grid.alpha_abs[i]), float(grid.beta[j]),
-                         float(grid.perimeter[i, j]), m,
-                         int(abs(m - args.mass) < band)])
-    _write_csv(args.out, ["alpha_abs", "beta", "perimeter", "mass", "on_constraint"], rows)
+    mass = grid.mass.ravel()
+    n = args.grid
+    _write_csv(args.out, ["alpha_abs", "beta", "perimeter", "mass", "on_constraint"],
+               [np.repeat(grid.alpha_abs, n), np.tile(grid.beta, n), grid.perimeter.ravel(),
+                mass, (np.abs(mass - args.mass) < band).astype(np.int8)])
     return 0
 
 
@@ -204,8 +226,7 @@ def _cmd_evolve(args) -> int:
     _emit_json(rec)
     if args.out is not None:
         V = report.final_curve.vertices
-        _write_csv(args.out, ["vertex_index", "x", "y"],
-                   [[i, float(v[0]), float(v[1])] for i, v in enumerate(V)])
+        _write_csv(args.out, ["vertex_index", "x", "y"], [range(len(V)), V[:, 0], V[:, 1]])
     return 0
 
 

@@ -256,15 +256,19 @@ def _vertex_normals(V: np.ndarray) -> np.ndarray:
     return nv / nn[:, None]
 
 
-def _project(dens: Density, V: np.ndarray, M0: float, mass_grad, normals) -> np.ndarray:
-    """Restore the mass to a relative 1e-10 by Newton offsets along the state's normals."""
+def _project(dens: Density, V: np.ndarray, M0: float, mass, mass_grad,
+             normals) -> np.ndarray:
+    """Restore the mass to a relative 1e-10 by Newton offsets along the state's normals.
+
+    The residual comes from the mass-only kernel; the gradient and the
+    normals are computed only for a Newton step.
+    """
     for _ in range(15):
-        mass, gM = mass_grad(dens, V)
-        resid = mass - M0
+        resid = mass(dens, V) - M0
         if abs(resid) <= 1e-10 * M0:
             return V
         N = normals(V)
-        slope = float(np.sum(gM * N))
+        slope = float(np.sum(mass_grad(dens, V)[1] * N))
         if slope <= 0.0:
             raise NumericError("mass projection lost its outward slope")
         V = V + (-resid / slope) * N
@@ -273,7 +277,7 @@ def _project(dens: Density, V: np.ndarray, M0: float, mass_grad, normals) -> np.
 
 def _project_mass(dens: Density, V: np.ndarray, M0: float) -> np.ndarray:
     """Mass projection of a closed polygon along its vertex normals."""
-    return _project(dens, V, M0, _mass_grad, _vertex_normals)
+    return _project(dens, V, M0, _mass, _mass_grad, _vertex_normals)
 
 
 def _catmull_rom(P0, P1, P2, P3, t):
@@ -682,7 +686,7 @@ def _profile_ok(W: np.ndarray) -> bool:
 
 def _project_mass_rev(dens: Density, W: np.ndarray, M0: float) -> np.ndarray:
     """Mass projection of a profile; the pole normals keep the poles on the axis."""
-    return _project(dens, W, M0, _rev_mass_grad, _profile_normals)
+    return _project(dens, W, M0, _rev_mass, _rev_mass_grad, _profile_normals)
 
 
 def _resample_profile(W: np.ndarray) -> np.ndarray:

@@ -287,6 +287,80 @@ def test_contour_p_half_discrete_curvature_signs(tmp_path, capsys):
         assert np.all(sign * inner > 0)
 
 
+def test_write_csv_matches_the_per_value_format(tmp_path, capsys, monkeypatch):
+    import isodense.cli as cli_mod
+
+    x = np.array([-0.0, 5e-324, 1e300, math.inf, -math.inf, math.nan, 1.0 / 3.0, -2.5e-7,
+                  123456789012345.0, 0.0, 7.0])
+    ints = [0, 1, -3, 10 ** 15, 2, 5, 6, 7, 8, 9, 11]
+    names = ["a", "centred", "b", "at_origin", "c", "d", "e", "f", "g", "h", "i"]
+    flags = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1], dtype=np.int8)
+    expected = "x,k,name,y,flag\n" + "".join(
+        ",".join([f"{v + 0.0:.12g}", str(k), s, f"{w + 0.0:.12g}", str(int(f))]) + "\n"
+        for v, k, s, w, f in zip(x.tolist(), ints, names, x[::-1].tolist(), flags))
+    columns = [x, ints, names, x[::-1], flags]
+    header = ["x", "k", "name", "y", "flag"]
+    for block in (4, len(x), 4096):  # several blocks, one exact block, one partial block
+        monkeypatch.setattr(cli_mod, "CSV_BLOCK_ROWS", block)
+        path = tmp_path / f"w{block}.csv"
+        cli_mod._write_csv(str(path), header, columns)
+        assert path.read_text() == expected
+        cli_mod._write_csv(None, header, columns)
+        assert capsys.readouterr().out == expected
+
+
+def test_contour_bytes_across_blocks_match_a_row_by_row_reference(tmp_path, capsys):
+    import isodense.cli as cli_mod
+    from isodense import Density
+    from isodense.interval1d import _invert_primitive, contour_grid
+
+    n, p, a, mass = 70, 4.0, 0.3, 1.2
+    assert n * n > cli_mod.CSV_BLOCK_ROWS and n * n % cli_mod.CSV_BLOCK_ROWS != 0
+    argv = ["contour", "--p", str(p), "--a", str(a), "--mass", str(mass), "--grid", str(n)]
+    out_file = tmp_path / "c.csv"
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, _, _ = run_cli(capsys, *argv, "--out", str(out_file))
+    assert code == 0
+    assert out_file.read_text() == stdout
+
+    dens = Density(p, a)
+    extent = 1.05 * _invert_primitive(dens, mass)
+    g = contour_grid(dens, extent, extent, n)
+    band = 0.5 * max(np.max(np.abs(np.diff(g.mass, axis=0))),
+                     np.max(np.abs(np.diff(g.mass, axis=1))))
+    lines = ["alpha_abs,beta,perimeter,mass,on_constraint"]
+    for i in range(n):
+        for j in range(n):
+            m = float(g.mass[i, j])
+            values = [float(g.alpha_abs[i]), float(g.beta[j]), float(g.perimeter[i, j]), m]
+            lines.append(",".join([f"{v + 0.0:.12g}" for v in values]
+                                  + [str(int(abs(m - mass) < band))]))
+    assert stdout == "\n".join(lines) + "\n"
+
+
+def test_contour_failure_leaves_no_output_file(tmp_path, capsys, monkeypatch):
+    from isodense.numerics import NumericError
+    import isodense.cli as cli_mod
+
+    def boom(*args, **kwargs):
+        raise NumericError("synthetic failure")
+
+    out_file = tmp_path / "c.csv"
+    monkeypatch.setattr(cli_mod, "contour_grid", boom)
+    code, out, err = run_cli(capsys, "contour", "--p", "2", "--a", "0.1", "--grid", "5",
+                             "--out", str(out_file))
+    assert code == 2
+    assert "numeric failure" in err
+    assert out == ""
+    assert not out_file.exists()
+    monkeypatch.undo()
+    code, _, err = run_cli(capsys, "contour", "--p", "2", "--a", "0.1", "--grid", "5",
+                           "--out", str(tmp_path / "missing" / "c.csv"))
+    assert code == 3
+    assert "I/O" in err
+
+
 def test_evolve_smoke_and_curve_csv(tmp_path, capsys):
     out_file = tmp_path / "curve.csv"
     code, out, _ = run_cli(capsys, "evolve", "--dim", "2", "--p", "2", "--a", "1",

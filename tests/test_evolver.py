@@ -363,6 +363,24 @@ def test_evolve_3d_matches_closed_form_small(monkeypatch):
     assert calls[0] <= 5573 // 2
 
 
+@pytest.mark.parametrize("evolve, n, grad, normals, descend", [
+    (evolve_2d, 64, "_mass_grad", "_vertex_normals", "descent_step"),
+    (evolve_3d_axisym, 33, "_rev_mass_grad", "_profile_normals", "_rev_step"),
+], ids=["2d", "3d"])
+def test_projection_takes_gradients_only_for_newton_steps(monkeypatch, evolve, n, grad,
+                                                          normals, descend):
+    # one mass gradient per descent iteration (_descend) plus one per Newton
+    # step of the projection, which is also the only caller of the normals;
+    # the projection's residual checks use the mass-only kernel
+    grads = _count_calls(monkeypatch, grad)
+    steps = _count_calls(monkeypatch, normals)
+    iterations = _count_calls(monkeypatch, descend)
+    report = evolve(Density(2.0, 0.2), 1.0, n=n, max_iters=30)
+    assert iterations[0] == report.iterations == 30
+    assert steps[0] > 0
+    assert grads[0] == iterations[0] + steps[0]
+
+
 def test_evolve_3d_centred():
     report = evolve_3d_axisym(Density(2, 1.0), 1.0, n=65, max_iters=1000, tol=1e-9)
     ref = symmetric_ball(Density(2, 1.0), Dimension(3), 1.0)

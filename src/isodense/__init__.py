@@ -38,7 +38,7 @@ from .interval1d import (
     solve_p_lt_1,
     solve_symmetric,
 )
-from .numerics import NumericError, RootConfig, bisect, gauss_legendre, golden_min
+from .numerics import NumericError, bisect, gauss_legendre, golden_min
 from .radial import (
     BallBranch,
     BallSolution,
@@ -95,7 +95,6 @@ __all__ = [
     "evolve_3d_axisym",
     "isoperimetric_quotient",
     "NumericError",
-    "RootConfig",
     "bisect",
     "golden_min",
     "gauss_legendre",

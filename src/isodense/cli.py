@@ -17,7 +17,14 @@ from typing import Optional
 
 import numpy as np
 
-from .density import Density, Dimension, check_mass, critical_mass, critical_offset
+from .density import (
+    Density,
+    Dimension,
+    check_mass,
+    critical_mass,
+    critical_offset,
+    radial_mass_inverse,
+)
 from .evolver import evolve_2d, evolve_3d_axisym, isoperimetric_quotient
 from .interval1d import (
     Interval,
@@ -41,7 +48,7 @@ from .radial import (
     offcenter_quadrature_3d,
     solve_2d_p2,
     solve_3d_p2,
-    symmetric_ball,
+    symmetric_ball_batch,
 )
 
 __all__ = ["main"]
@@ -121,13 +128,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _dispatch(dim: int, p: float, avals, mass: float, force_numeric: bool = False) -> list:
-    """One solution per offset; the numerical 1D solvers take all offsets in one call."""
+    """One solution per offset; the numerical solvers take all offsets in one call."""
     if dim > 1:
         if force_numeric:
             raise ValueError("--force-numeric applies to --dim 1 only; use the evolve command")
         if p == 2.0:
             return [(solve_2d_p2 if dim == 2 else solve_3d_p2)(a, mass) for a in avals]
-        return [symmetric_ball(Density(p, a), Dimension(dim), mass) for a in avals]
+        return symmetric_ball_batch(p, Dimension(dim), avals, mass)
     if force_numeric or (p > 1.0 and p != 2.0):
         return solve_general_batch(p, avals, mass)
     if p == 2.0:
@@ -184,8 +191,7 @@ def _cmd_contour(args) -> int:
     if args.grid < 2:
         raise ValueError("--grid must be at least 2")
     # extent: a little past the widest one-ended interval of the target mass
-    from .interval1d import _invert_primitive
-    extent = 1.05 * _invert_primitive(dens, args.mass)
+    extent = 1.05 * float(radial_mass_inverse(dens.p, dens.a, args.mass))
     grid = contour_grid(dens, extent, extent, args.grid)
     # flag grid nodes within half a cell of the target-mass level set
     dm_i = np.max(np.abs(np.diff(grid.mass, axis=0)))
@@ -223,10 +229,10 @@ def _cmd_evolve(args) -> int:
         "isoperimetric_quotient": (isoperimetric_quotient(report)
                                    if args.dim == 2 else None),
     }
-    _emit_json(rec)
-    if args.out is not None:
+    if args.out is not None:  # first, so a path that fails prints no record
         V = report.final_curve.vertices
         _write_csv(args.out, ["vertex_index", "x", "y"], [range(len(V)), V[:, 0], V[:, 1]])
+    _emit_json(rec)
     return 0
 
 

@@ -9,6 +9,12 @@ boundary points of a centred ball, so k_1 = 2 (an interval [-R, R] has two
 endpoints and mass 2 * integral of rho over [0, R]), k_2 = 2*pi, k_3 = 4*pi.
 With k_1 = 2 the general-dimension critical offset specializes exactly to
 the dedicated one-dimensional formula.
+
+A centred ball of radius R (the interval [-R, R] when d = 1) has mass
+k_d * G_d(R) with G_d(R) = R**(p+d)/(p+d) + a*R**d/d; G_1 is the
+primitive.  radial_mass_inverse is the package's one inverse of G_d: every
+centred ball, symmetric interval and one-sided interval endpoint is a
+root of it.
 """
 
 from __future__ import annotations
@@ -20,15 +26,19 @@ from typing import Optional
 import numpy as np
 
 __all__ = [
+    "MASS_RTOL",
     "Density",
     "Dimension",
     "check_mass",
+    "radial_mass_inverse",
     "critical_offset",
     "critical_offset_1d",
     "critical_mass",
 ]
 
 _K_D = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
+MASS_RTOL = 1e-12  # relative mass residual every returned solution meets
+_NEWTON_CAP = 100  # Newton steps allowed per inverse; from its start it needs under ten
 
 
 def check_mass(mass: float) -> None:
@@ -107,6 +117,34 @@ class Density:
         if self.p <= 1.0:
             return None
         return (self.a * (self.p - 1.0)) ** (1.0 / self.p)
+
+
+def radial_mass_inverse(p: float, a, m, d: int = 1) -> np.ndarray:
+    """R >= 0 with G_d(R) = R**(p+d)/(p+d) + a*R**d/d = m, elementwise over arrays a and m >= 0.
+
+    Newton starts above the root, at min((m*(p+d))**(1/(p+d)), (m*d/a)**(1/d));
+    G_d is convex and increasing on R >= 0, so the iterates fall
+    monotonically.  An element freezes at the first step that does not
+    lower it (that step repeats on every later pass), within rounding of
+    its root.  Raises NumericError if some element is still falling after
+    _NEWTON_CAP steps.
+    """
+    m = np.asarray(m, dtype=float)
+    a_d = a / d
+    with np.errstate(all="ignore"):  # m*d/a is inf or nan at a = 0; fmin drops either
+        R = np.fmin((m * (p + d)) ** (1.0 / (p + d)), (m * d / a) ** (1.0 / d))
+        for _ in range(_NEWTON_CAP):
+            Rp = R ** p
+            # (G_d - m) / G_d' with R**(d-1) divided out of G_d' = R**(d-1) * (R**p + a)
+            m_R = m if d == 1 else m * R ** (1 - d)
+            R_new = R - (R * (Rp / (p + d) + a_d) - m_R) / (Rp + a)
+            if not (R_new < R).any():
+                return R
+            R = np.fmin(R, R_new)
+    # imported here: a top-level import loads numerics (and builds its Gauss-Legendre
+    # tables) first, which raised the peak RSS of `import isodense.cli` by 0.5 MB
+    from .numerics import NumericError
+    raise NumericError(f"radial mass inverse did not settle in {_NEWTON_CAP} Newton steps")
 
 
 def critical_offset(p: float, dim: Dimension, mass: float) -> float:

@@ -80,7 +80,9 @@ class PolyCurve:
         V = np.array(vertices, dtype=float)
         if V.ndim != 2 or V.shape[1] != 2:
             raise ValueError("vertices must be an (n, 2) array")
-        if len(V) >= 2 and np.allclose(V[0], V[-1]):
+        # a closing vertex repeats the first to within 1e-8 of the curve's extent
+        if len(V) >= 2 and np.allclose(V[0], V[-1], rtol=0.0,
+                                       atol=1e-8 * float(np.max(np.ptp(V, axis=0)))):
             V = V[:-1]
         if len(V) < 16:
             raise ValueError("need at least 16 vertices")
@@ -330,15 +332,16 @@ def _curvature_spread(dens: Density, V: np.ndarray) -> float:
     rm = np.roll(r, 1)
     rp = np.roll(r, -1)
     denom = h1 * h2 * (h1 + h2)
-    r_dot = (rp * h1 * h1 - rm * h2 * h2 + r * (h2 * h2 - h1 * h1)) / denom
-    r_ddot = 2.0 * (rp * h1 + rm * h2 - r * (h1 + h2)) / denom
-    g = r * r + r_dot * r_dot
-    kappa = (r * r + 2.0 * r_dot * r_dot - r * r_ddot) / g ** 1.5
-    kappa += dens.p * r ** (dens.p - 1.0) / (r ** dens.p + dens.a) * r / np.sqrt(g)
-    mean = float(np.mean(kappa))
-    if mean == 0.0:
-        return math.nan
-    return float((np.max(kappa) - np.min(kappa)) / abs(mean))
+    with np.errstate(all="ignore"):  # tiny curves underflow g; the spread is then NaN
+        r_dot = (rp * h1 * h1 - rm * h2 * h2 + r * (h2 * h2 - h1 * h1)) / denom
+        r_ddot = 2.0 * (rp * h1 + rm * h2 - r * (h1 + h2)) / denom
+        g = r * r + r_dot * r_dot
+        kappa = (r * r + 2.0 * r_dot * r_dot - r * r_ddot) / g ** 1.5
+        kappa += dens.p * r ** (dens.p - 1.0) / (r ** dens.p + dens.a) * r / np.sqrt(g)
+        mean = float(np.mean(kappa))
+        if mean == 0.0:
+            return math.nan
+        return float((np.max(kappa) - np.min(kappa)) / abs(mean))
 
 
 @dataclass
@@ -460,6 +463,8 @@ def _descend(dens: Density, V: np.ndarray, M0: float, per: float, step0: float,
     gP = pin(functional_grad(dens, V)[1])
     gM = pin(mass_grad(dens, V)[1])
     gM2 = float(np.sum(gM * gM))
+    if not gM2 > 0.0:  # underflows for curves of tiny extent
+        raise NumericError("mass gradient vanished")
     lam = float(np.sum(gP * gM) / gM2)
     d = -gP + lam * gM
     ds = smooth(d)

@@ -3,9 +3,11 @@
 Closed-form solvers exist for p = 1/2, 1 and 2; a constrained numerical
 minimizer covers every other exponent, and an exhaustive grid oracle
 cross-checks them all.  The module also carries the multi-interval
-reduction pipeline (concatenate, translate to the origin, merge across
-the origin) and the contour-grid generator used to visualize the
-perimeter/mass landscape over the two endpoints.
+reduction (each half-line's mass gathered into one interval from the
+origin) and the contour-grid generator used to visualize the
+perimeter/mass landscape over the two endpoints.  Every endpoint fixed by
+a mass comes from density.radial_mass_inverse, the Newton inverse of the
+primitive.
 
 An interval [alpha, beta] is always reported with alpha <= 0 < beta; the
 weighted perimeter is rho(|alpha|) + rho(beta) = |alpha|**p + beta**p + 2a.
@@ -20,17 +22,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .density import Density, check_mass
+from .density import MASS_RTOL, Density, check_mass, radial_mass_inverse
 from .numerics import NumericError
 
-_NEWTON_CAP = 100  # Newton steps allowed per inverse; from its start it needs under ten
 # Section search: nodes per bracket, and enough passes to narrow the bracket
 # below 1e-12 * s_sym, since each pass keeps at most two of its cells.
 _SECTIONS = 32
 _SECTION_ITERS = math.ceil(math.log(1e-12) / math.log(2.0 / _SECTIONS))
 _TIE_RTOL = 1e-14  # above the rounding noise of the scaled objective, ~(p+1) ulps
 _BLOCK = 512  # offsets solved together; bounds the working memory of a long sweep
-_MASS_RTOL = 1e-12  # relative mass residual every numerical solution must meet
 
 __all__ = [
     "Interval",
@@ -114,39 +114,14 @@ def mass1d(dens: Density, iv: Interval) -> float:
 
 def _multiplier(dens: Density, beta: float) -> float:
     # Stationarity at the free right end: d(perimeter)/d(beta) + lambda * rho(beta) = 0.
-    return -dens.p * beta ** (dens.p - 1.0) / (beta ** dens.p + dens.a)
-
-
-def _newton_inverse(p: float, a, m) -> np.ndarray:
-    """q >= 0 with q**(p+1)/(p+1) + a*q = m, elementwise over arrays a and m >= 0.
-
-    Newton starts above the root, at min((m*(p+1))**(1/(p+1)), m/a); the
-    primitive is convex and increasing, so the iterates fall monotonically.
-    An element freezes at the first step that does not lower it (that step
-    repeats on every later pass), within rounding of its root.
-    """
-    m = np.asarray(m, dtype=float)
-    with np.errstate(all="ignore"):  # m/a is inf or nan at a = 0; fmin drops either
-        q = np.fmin((m * (p + 1.0)) ** (1.0 / (p + 1.0)), m / a)
-        for _ in range(_NEWTON_CAP):
-            qp = q ** p
-            q_new = q - (q * (qp / (p + 1.0) + a) - m) / (qp + a)
-            if not (q_new < q).any():
-                return q
-            q = np.fmin(q, q_new)
-    raise NumericError(f"primitive inverse did not settle in {_NEWTON_CAP} Newton steps")
-
-
-def _invert_primitive(dens: Density, m: float) -> float:
-    """q >= 0 with F(q) = m."""
-    if m < 0.0:
-        raise ValueError("mass must be nonnegative")
-    return float(_newton_inverse(dens.p, dens.a, m))
+    b = np.float64(beta)
+    with np.errstate(all="ignore"):  # b**(p-1) overflows to inf for p < 1 at subnormal b
+        return float(-dens.p * b ** (dens.p - 1.0) / (b ** dens.p + dens.a))
 
 
 def _invert_primitive_grid(dens: Density, m: np.ndarray) -> np.ndarray:
     """Vectorized inverse of the primitive for a nonnegative array of masses."""
-    return _newton_inverse(dens.p, dens.a, m)
+    return radial_mass_inverse(dens.p, dens.a, m)
 
 
 def _classify(alpha_abs: float, beta: float, rel_tol: float = 1e-6) -> IntervalBranch:
@@ -164,8 +139,8 @@ def solve_p2(a: float, M0: float) -> IntervalSolution:
     Below the critical offset (3*M0)**(2/3)/4 the optimum straddles the
     origin with alpha*beta = -a and perimeter (3*M0)**(2/3), independent
     of a; at a = 0 the left end degenerates to the origin.  At or above
-    the critical offset the optimum is symmetric, with beta from the
-    solved cubic of the symmetric mass constraint.
+    the critical offset the optimum is the symmetric interval of
+    solve_symmetric.
     """
     check_mass(M0)
     if a < 0.0:
@@ -179,13 +154,7 @@ def solve_p2(a: float, M0: float) -> IntervalSolution:
         per = cbrt * cbrt
         branch = IntervalBranch.AT_ORIGIN if a == 0.0 else IntervalBranch.ASYMMETRIC
         return IntervalSolution(alpha, beta, per, branch, _multiplier(dens, beta))
-    # Symmetric branch: M0 = 2*beta^3/3 + 2*a*beta, solved in radicals.
-    w = 0.75 * M0 + 0.25 * math.sqrt(9.0 * M0 * M0 + 16.0 * a ** 3)
-    w3 = w ** (1.0 / 3.0)
-    beta = w3 - a / w3
-    per = 2.0 * beta * beta + 2.0 * a
-    return IntervalSolution(-beta, beta, per, IntervalBranch.SYMMETRIC,
-                            _multiplier(dens, beta))
+    return solve_symmetric(dens, M0)
 
 
 def solve_p1(a: float, M0: float) -> IntervalSolution:
@@ -210,15 +179,18 @@ def _beta_p_lt_1_closed(p: float, a: float, M0: float) -> Optional[float]:
     The textbook expression for the cubic's resolvent Z is a difference of
     nearly equal terms for small a, so it is evaluated through the
     conjugate product Z = E / (D + sqrt(D^2 - E)) instead.  Returns None
-    as well when Z evaluates to zero (M0 huge next to a**3, where D**2
-    overflows), leaving the Newton root to stand alone.
+    as well when a**6 overflows or Z evaluates to zero (M0 huge next to
+    a**3, where D**2 overflows), leaving the Newton root to stand alone.
     """
     if p != 0.5:
         return None
     if a == 0.0:
         return (1.5 * M0) ** (2.0 / 3.0)
-    d_term = 0.75 * M0 - a ** 3 / 8.0
-    e_term = a ** 6 / 64.0
+    try:
+        d_term = 0.75 * M0 - a ** 3 / 8.0
+        e_term = a ** 6 / 64.0
+    except OverflowError:
+        return None
     disc = d_term * d_term - e_term
     if disc < 0.0 or d_term <= 0.0:
         return None
@@ -243,7 +215,7 @@ def solve_p_lt_1_batch(p: float, a_values, M0: float) -> list[IntervalSolution]:
     a_all = np.asarray(a_values, dtype=float).reshape(-1)
     dens = [Density(p, a) for a in a_all.tolist()]  # validates every offset
     out = []
-    for d, beta in zip(dens, _newton_inverse(p, a_all, M0).tolist()):
+    for d, beta in zip(dens, radial_mass_inverse(p, a_all, M0).tolist()):
         closed = _beta_p_lt_1_closed(p, d.a, M0)
         if closed is not None and not math.isclose(closed, beta, rel_tol=1e-6):
             raise NumericError(
@@ -260,14 +232,14 @@ def solve_p_lt_1(dens: Density, M0: float) -> IntervalSolution:
 def solve_symmetric(dens: Density, M0: float) -> IntervalSolution:
     """Symmetric interval [-beta, beta] of mass M0 for p > 1.
 
-    beta solves 2*beta**(p+1)/(p+1) + 2*a*beta = M0 by Newton's method; the
-    perimeter is 2*beta**p + 2*a.  Only optimal above the critical offset,
-    but well defined for any a.
+    beta solves 2*beta**(p+1)/(p+1) + 2*a*beta = M0 (the d = 1 centred
+    ball) by radial_mass_inverse; the perimeter is 2*beta**p + 2*a.  Only
+    optimal above the critical offset, but well defined for any a.
     """
     if dens.p <= 1.0:
         raise ValueError("symmetric solver requires p > 1")
     check_mass(M0)
-    beta = _invert_primitive(dens, 0.5 * M0)
+    beta = float(radial_mass_inverse(dens.p, dens.a, 0.5 * M0))
     return _solution(dens, beta, beta, M0, IntervalBranch.SYMMETRIC)
 
 
@@ -276,15 +248,18 @@ def _beta_from_alpha(dens: Density, alpha_abs: float, M0: float) -> float:
     rest = M0 - dens.primitive(alpha_abs)
     if rest < 0.0:
         raise ValueError("left endpoint already exceeds the target mass")
-    return _invert_primitive(dens, rest)
+    return float(radial_mass_inverse(dens.p, dens.a, rest))
 
 
 def _solution(dens: Density, s: float, beta: float, M0: float,
               branch: IntervalBranch) -> IntervalSolution:
-    """[-s, beta] as a solution, once it meets the mass constraint to _MASS_RTOL."""
-    resid = abs(dens.primitive(s) + dens.primitive(beta) - M0) / M0
-    if not resid <= _MASS_RTOL:
-        raise NumericError(f"relative mass residual {resid:.3e} exceeds {_MASS_RTOL}")
+    """[-s, beta] as a solution, once it meets the mass constraint to MASS_RTOL."""
+    try:
+        resid = abs(dens.primitive(s) + dens.primitive(beta) - M0) / M0
+    except OverflowError:  # an endpoint's power past the float range
+        resid = math.inf
+    if not resid <= MASS_RTOL:
+        raise NumericError(f"relative mass residual {resid:.3e} exceeds {MASS_RTOL}")
     return IntervalSolution(-s, beta, s ** dens.p + beta ** dens.p + 2.0 * dens.a, branch,
                             _multiplier(dens, beta))
 
@@ -305,13 +280,13 @@ def solve_general_batch(p: float, a_values, M0: float) -> list[IntervalSolution]
         return [sol for k in range(0, a.size, _BLOCK)
                 for sol in solve_general_batch(p, a[k:k + _BLOCK], M0)]
     dens = [Density(p, ak) for ak in a.tolist()]  # validates p and every offset
-    s_sym = _newton_inverse(p, a, 0.5 * M0)
+    s_sym = radial_mass_inverse(p, a, 0.5 * M0)
     col_a, col_s = a[:, None], s_sym[:, None]
 
     def objective(t):
         # (s**p + beta**p) / s_sym**p at s = t * s_sym, without the 2a that would swamp it
         s = t * col_s
-        beta = _newton_inverse(p, col_a, M0 - (s ** (p + 1.0) / (p + 1.0) + col_a * s))
+        beta = radial_mass_inverse(p, col_a, M0 - (s ** (p + 1.0) / (p + 1.0) + col_a * s))
         return t ** p + (beta / col_s) ** p, beta
 
     rows = np.arange(a.size)
@@ -354,7 +329,7 @@ def brute_force_oracle(dens: Density, M0: float, grid_n: int) -> IntervalSolutio
         raise ValueError("grid_n must be at least 100")
     check_mass(M0)
     p, a = dens.p, dens.a
-    L = _invert_primitive(dens, M0)
+    L = float(radial_mass_inverse(p, a, M0))
     s = np.linspace(0.0, L, grid_n)
     rest = np.maximum(M0 - (s ** (p + 1.0) / (p + 1.0) + a * s), 0.0)
     beta = _invert_primitive_grid(dens, rest)
@@ -373,37 +348,25 @@ def brute_force_oracle(dens: Density, M0: float, grid_n: int) -> IntervalSolutio
 # Reduction of several intervals to one interval containing the origin.
 # ---------------------------------------------------------------------------
 
-def _concatenate_half_line(dens: Density, parts: Sequence[tuple[float, float]]) -> tuple[float, float]:
-    """Slide disjoint intervals on the positive half-line into one.
+def _half_line_end(dens: Density, parts: Sequence[tuple[float, float]]) -> float:
+    """Upper end t of [0, t] holding the total mass of intervals on the half-line.
 
-    Each interval after the first is moved down to abut its predecessor,
-    its upper end recomputed to preserve its mass.  Monotonicity of rho
-    makes every slide lower the perimeter.
+    F(t) is the sum of F(hi) - F(lo): the intervals slid down to abut one
+    another and the origin.  rho increases away from the origin, so no
+    slide raises the perimeter.
     """
-    parts = sorted(parts)
-    lo0 = parts[0][0]
     total = sum(dens.primitive(hi) - dens.primitive(lo) for lo, hi in parts)
-    target = dens.primitive(lo0) + total
-    return lo0, _invert_primitive(dens, target)
-
-
-def _translate_to_origin(dens: Density, lo: float, hi: float) -> float:
-    """Move [lo, hi] on the positive half-line so its left end is 0.
-
-    Returns the new upper end t with F(t) = F(hi) - F(lo); the perimeter
-    never increases because rho is increasing away from the origin.
-    """
-    return _invert_primitive(dens, dens.primitive(hi) - dens.primitive(lo))
+    return float(radial_mass_inverse(dens.p, dens.a, total))
 
 
 def reduce_intervals(dens: Density, ivs: Sequence[Interval]) -> Interval:
     """Reduce disjoint intervals to one interval containing the origin.
 
-    Pipeline: negative-side intervals are reflected for bookkeeping, each
-    half-line's intervals are concatenated pairwise and translated to the
-    origin, and the two origin-anchored intervals are merged across the
-    origin (saving exactly 2*rho(0) = 2a of perimeter).  Total mass is
-    conserved and the perimeter never increases.
+    Negative-side intervals are reflected for bookkeeping, each half-line's
+    intervals are gathered into one interval from the origin holding their
+    mass, and the two are merged across the origin (saving exactly
+    2*rho(0) = 2a of perimeter).  Total mass is conserved and the perimeter
+    never increases.
     """
     if not ivs:
         raise ValueError("need at least one interval")
@@ -427,12 +390,7 @@ def reduce_intervals(dens: Density, ivs: Sequence[Interval]) -> Interval:
             neg.append((0.0, -iv.lo))
             pos.append((0.0, iv.hi))
 
-    t_pos = t_neg = 0.0
-    if pos:
-        t_pos = _translate_to_origin(dens, *_concatenate_half_line(dens, pos))
-    if neg:
-        t_neg = _translate_to_origin(dens, *_concatenate_half_line(dens, neg))
-    return Interval(-t_neg, t_pos)
+    return Interval(-_half_line_end(dens, neg), _half_line_end(dens, pos))
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,21 @@
 """Shared numerical kernels: bracketed bisection, golden-section search,
 Gauss-Legendre quadrature and finite differences.
 
-Everything here is a stateless pure function.  The 1D solvers invert the
-density's primitive with their own vectorized Newton kernel; bisection
-serves the remaining scalar root finding.
+Everything here is a stateless pure function.  No solver finds a root
+here: every radius and endpoint fixed by a mass comes from
+density.radial_mass_inverse.  bisect, grow_bracket and golden_min are
+general-purpose tools (bisect also serves the tests as an oracle).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "NumericError",
-    "RootConfig",
     "bisect",
     "grow_bracket",
     "golden_min",
@@ -31,38 +30,19 @@ GL_NODE_COUNTS = (4, 7, 16, 64)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+_BISECT_CAP = 200  # halvings before bisect returns the midpoint
 
 
 class NumericError(RuntimeError):
     """An iterative scheme failed to converge."""
 
 
-@dataclass(frozen=True)
-class RootConfig:
-    """Stopping rule for bracketed root finding."""
-
-    abs_tol: float = 1e-13
-    rel_tol: float = 1e-12
-    max_iters: int = 200
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValueError("tolerances must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-
-
-DEFAULT_ROOT_CONFIG = RootConfig()
-
-
-def bisect(f: Callable[[float], float], lo: float, hi: float,
-           cfg: RootConfig = DEFAULT_ROOT_CONFIG) -> float:
+def bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of f on [lo, hi] by bisection.
 
     f(lo) and f(hi) must differ in sign.  The bracket is halved until it
-    is tight to floating-point resolution (well within abs_tol +
-    rel_tol * scale for the monotone equations solved here), or the
-    midpoint is returned after max_iters.
+    is tight to floating-point resolution, or the midpoint is returned
+    after _BISECT_CAP halvings.
     """
     if lo > hi:
         lo, hi = hi, lo
@@ -75,7 +55,7 @@ def bisect(f: Callable[[float], float], lo: float, hi: float,
     if (flo > 0.0) == (fhi > 0.0):
         raise ValueError(f"no sign change on bracket [{lo}, {hi}]")
     mid = 0.5 * (lo + hi)
-    for _ in range(cfg.max_iters):
+    for _ in range(_BISECT_CAP):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return mid

@@ -1,7 +1,9 @@
 """Circle and sphere solvers for the density r**p + a in 2D and 3D.
 
-Centred balls are available for every p > 0 via the radial mass equation;
-off-centre closed forms exist for p = 2, where the optimal circle/sphere
+Centred balls are available for every p > 0: their radius is the root of
+the radial mass equation k_d * G_d(R) = M0 from density.radial_mass_inverse,
+for one offset or a whole sweep of them at once.  Off-centre closed forms
+exist for p = 2, where the optimal circle/sphere
 keeps a constant radius while its centre slides toward the origin as the
 offset a grows.  The density-generalized curvature diagnostic and the
 quadrature versions of the off-centre boundary/mass integrals (used to
@@ -21,13 +23,14 @@ from typing import Optional
 
 import numpy as np
 
-from .density import Density, Dimension, check_mass
-from .numerics import NumericError, bisect, gauss_legendre_nodes, grow_bracket
+from .density import MASS_RTOL, Density, Dimension, check_mass, radial_mass_inverse
+from .numerics import NumericError, gauss_legendre_nodes
 
 __all__ = [
     "BallBranch",
     "BallSolution",
     "symmetric_ball",
+    "symmetric_ball_batch",
     "offcenter_p2_2d",
     "offcenter_p2_3d",
     "solve_2d_p2",
@@ -70,49 +73,39 @@ class BallSolution:
             raise ValueError("centred branch requires zero center offset")
 
 
-def _centred_mass(dens: Density, d: int, R: float) -> float:
-    p, a = dens.p, dens.a
-    if d == 2:
-        return 2.0 * math.pi * R * R * (R ** p / (p + 2.0) + a / 2.0)
-    return 4.0 * math.pi * R ** 3 * (R ** p / (p + 3.0) + a / 3.0)
+def symmetric_ball_batch(p: float, dim: Dimension, a_values, M0: float) -> list[BallSolution]:
+    """Centred balls of weighted mass M0 for d in {2, 3}, one per offset.
 
-
-def _centred_perimeter(dens: Density, d: int, R: float) -> float:
-    p, a = dens.p, dens.a
-    if d == 2:
-        return 2.0 * math.pi * (R ** (p + 1.0) + R * a)
-    return 4.0 * math.pi * (R ** (p + 2.0) + R * R * a)
-
-
-def _centred_multiplier(dens: Density, d: int, R: float) -> float:
-    # -d(perimeter)/dR divided by d(mass)/dR; the latter equals the perimeter.
-    p, a = dens.p, dens.a
-    if d == 2:
-        return -((p + 1.0) * R ** p + a) / (R ** (p + 1.0) + R * a)
-    return -((p + 2.0) * R ** p + 2.0 * a) / (R ** (p + 1.0) + R * a)
-
-
-def symmetric_ball(dens: Density, dim: Dimension, M0: float) -> BallSolution:
-    """Centred ball of weighted mass M0, radius solved by bisection.
-
-    Raises NumericError when the radius misses M0 by more than a relative
-    1e-9 (the bisection from [0, 1] runs out of halvings for tiny M0).
+    Each radius solves k_d * R**d * (R**p/(p+d) + a/d) = M0, all of them in
+    one radial_mass_inverse.  The perimeter k_d * R**(d-1) * (R**p + a) is
+    d(mass)/dR, and the multiplier is -d(perimeter)/dR divided by it.
+    Raises NumericError unless every radius meets M0 to a relative
+    MASS_RTOL.
     """
     if dim.d not in (2, 3):
         raise ValueError("symmetric_ball requires d in {2, 3}")
     check_mass(M0)
-    d = dim.d
+    a = np.asarray(a_values, dtype=float).reshape(-1)
+    for ak in a.tolist():
+        Density(p, ak)  # validates p and every offset
+    d, k = dim.d, dim.k_d
+    R = radial_mass_inverse(p, a, M0 / k, d)
+    with np.errstate(all="ignore"):  # an overflow or underflow fails the mass test
+        Rp = R ** p
+        mass = k * R ** d * (Rp / (p + d) + a / d)
+        per = k * R ** (d - 1) * (Rp + a)
+        lam = -((p + d - 1) * Rp + (d - 1) * a) / (R * (Rp + a))
+    miss = ~(np.abs(mass - M0) <= MASS_RTOL * M0)
+    if miss.any():
+        i = int(np.argmax(miss))
+        raise NumericError(f"centred ball radius {R[i]} misses mass {M0} by {mass[i] - M0}")
+    return [BallSolution(dim, r, 0.0, pr, m, BallBranch.CENTRED, lm)
+            for r, pr, m, lm in zip(R.tolist(), per.tolist(), mass.tolist(), lam.tolist())]
 
-    def resid(R: float) -> float:
-        return _centred_mass(dens, d, R) - M0
 
-    hi = grow_bracket(resid, 1.0)
-    R = bisect(resid, 0.0, hi)
-    mass = _centred_mass(dens, d, R)
-    if not abs(mass - M0) <= 1e-9 * M0:
-        raise NumericError(f"centred ball radius {R} misses mass {M0} by {mass - M0}")
-    return BallSolution(dim, R, 0.0, _centred_perimeter(dens, d, R),
-                        mass, BallBranch.CENTRED, _centred_multiplier(dens, d, R))
+def symmetric_ball(dens: Density, dim: Dimension, M0: float) -> BallSolution:
+    """Centred ball of weighted mass M0: one row of symmetric_ball_batch."""
+    return symmetric_ball_batch(dens.p, dim, [dens.a], M0)[0]
 
 
 def offcenter_p2_2d(R: float, r0: float, a: float) -> tuple[float, float]:
@@ -145,8 +138,8 @@ def solve_2d_p2(a: float, M0: float) -> BallSolution:
 
     Below a_crit = sqrt(2*M0/(3*pi)) the circle straddles the origin with
     constant radius (2*M0/(3*pi))**(1/4), centre offset sqrt(R**2 - a) and
-    perimeter 4*pi*R**3, independent of a.  Above a_crit it is centred,
-    with R**2 = -a + sqrt(a**2 + 2*M0/pi).
+    perimeter 4*pi*R**3, independent of a.  Above a_crit it is the centred
+    circle of symmetric_ball, with R**2 = -a + sqrt(a**2 + 2*M0/pi).
     """
     check_mass(M0)
     if a < 0.0:
@@ -158,11 +151,7 @@ def solve_2d_p2(a: float, M0: float) -> BallSolution:
         r0 = math.sqrt(max(R * R - a, 0.0))
         per, mass = offcenter_p2_2d(R, r0, a)
         return BallSolution(dim, R, r0, per, mass, BallBranch.OFF_CENTRE, -2.0 / R)
-    R = math.sqrt(-a + math.sqrt(a * a + 2.0 * M0 / math.pi))
-    dens = Density(2.0, a)
-    return BallSolution(dim, R, 0.0, _centred_perimeter(dens, 2, R),
-                        _centred_mass(dens, 2, R), BallBranch.CENTRED,
-                        _centred_multiplier(dens, 2, R))
+    return symmetric_ball(Density(2.0, a), dim, M0)
 
 
 def solve_3d_p2(a: float, M0: float) -> BallSolution:
@@ -171,7 +160,7 @@ def solve_3d_p2(a: float, M0: float) -> BallSolution:
     Below a_crit = (15*M0/(32*pi))**(2/5) the sphere straddles the origin
     with constant radius (15*M0/(32*pi))**(1/5), centre offset
     sqrt(R**2 - a) and surface area 8*pi*R**4, independent of a.  Above
-    a_crit it is centred, with the radius solved numerically.
+    a_crit it is the centred sphere of symmetric_ball.
     """
     check_mass(M0)
     if a < 0.0:

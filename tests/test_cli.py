@@ -312,7 +312,8 @@ def test_write_csv_matches_the_per_value_format(tmp_path, capsys, monkeypatch):
 def test_contour_bytes_across_blocks_match_a_row_by_row_reference(tmp_path, capsys):
     import isodense.cli as cli_mod
     from isodense import Density
-    from isodense.interval1d import _invert_primitive, contour_grid
+    from isodense.density import radial_mass_inverse
+    from isodense.interval1d import contour_grid
 
     n, p, a, mass = 70, 4.0, 0.3, 1.2
     assert n * n > cli_mod.CSV_BLOCK_ROWS and n * n % cli_mod.CSV_BLOCK_ROWS != 0
@@ -325,7 +326,7 @@ def test_contour_bytes_across_blocks_match_a_row_by_row_reference(tmp_path, caps
     assert out_file.read_text() == stdout
 
     dens = Density(p, a)
-    extent = 1.05 * _invert_primitive(dens, mass)
+    extent = 1.05 * float(radial_mass_inverse(p, a, mass))
     g = contour_grid(dens, extent, extent, n)
     band = 0.5 * max(np.max(np.abs(np.diff(g.mass, axis=0))),
                      np.max(np.abs(np.diff(g.mass, axis=1))))
@@ -445,14 +446,61 @@ def test_p_half_closed_form_disagreement_is_numeric_failure(capsys, monkeypatch)
     assert "numeric failure" in err
 
 
-def test_centred_ball_mass_residual_is_numeric_failure(capsys):
-    # bisection from [0, 1] runs out of halvings long before R ~ 6e-61
+@pytest.mark.parametrize("argv", [
+    ["--dim", "3", "--p", "2", "--a", "0.1", "--mass", "1e-300"],
+    ["--dim", "2", "--p", "4", "--a", "0.1", "--mass", "1e-300"],
+    ["--dim", "1", "--p", "2", "--a", "1e8", "--mass", "1"],
+    ["--dim", "2", "--p", "2", "--a", "1e8", "--mass", "1"],
+    ["--dim", "2", "--p", "2", "--a", "1e6", "--mass", "1"],
+], ids=" ".join)
+def test_centred_balls_meet_the_relative_mass_constraint(capsys, argv):
+    # tiny radii and huge offsets: the radius is the Newton inverse of the radial mass
+    code, out, err = run_cli(capsys, "solve", *argv)
+    assert code == 0, err
+    rec = json.loads(out)
+    assert rec["branch"] in ("centred", "symmetric")
+    assert abs(rec["mass_residual"]) <= 1e-12 * rec["mass"]
+
+
+def test_centred_ball_mass_residual_is_numeric_failure(capsys, monkeypatch):
+    # a radius that misses the mass is refused, never printed
+    import isodense.radial as radial_mod
+
+    inverse = radial_mod.radial_mass_inverse
+    monkeypatch.setattr(radial_mod, "radial_mass_inverse",
+                        lambda *args: inverse(*args) * (1.0 + 1e-9))
     code, out, err = run_cli(capsys, "solve", "--dim", "3", "--p", "2", "--a", "0.1",
                              "--mass", "1e-300")
     assert code == 2
     assert out == ""
     assert "numeric failure" in err
     assert "Traceback" not in err
+
+
+def test_p_half_closed_form_steps_aside_when_its_terms_overflow(capsys):
+    code, out, err = run_cli(capsys, "solve", "--dim", "1", "--p", "0.5",
+                             "--a", "2.69661696932527e+80", "--mass", "4.150746624605548e+288")
+    assert code == 0, err
+    rec = json.loads(out)
+    assert abs(rec["mass_residual"]) <= 1e-12 * rec["mass"]
+
+
+def test_evolve_unwritable_out_prints_no_record(capsys):
+    code, out, err = run_cli(capsys, "evolve", "--dim", "2", "--p", "2", "--a", "0.2",
+                             "--vertices", "64", "--iters", "5",
+                             "--out", "/nonexistent/x.csv")
+    assert code == 3
+    assert out == ""
+    assert "I/O error" in err
+
+
+def test_evolve_3d_tiny_mass_is_numeric_failure(capsys):
+    # the ball solves, but the profile's mass gradient underflows
+    code, out, err = run_cli(capsys, "evolve", "--dim", "3", "--p", "4", "--a", "0.1",
+                             "--mass", "1e-300", "--vertices", "33")
+    assert code == 2
+    assert out == ""
+    assert "numeric failure" in err
 
 
 def test_verify_unknown_suite(capsys):

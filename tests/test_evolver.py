@@ -334,6 +334,17 @@ def test_evolvers_accept_zero_iterations():
         assert abs(report.weighted_mass - 1.0) <= 1e-8
 
 
+def test_tiny_curve_keeps_every_vertex_and_its_mass():
+    # the closing-vertex test is relative to the curve's extent, here ~1e-5
+    report = evolve_2d(Density(4, 0.1), 1e-20, n=64, max_iters=0)
+    V = report.final_curve.vertices
+    assert len(V) == 64
+    assert abs(_mass(Density(4, 0.1), V) - 1e-20) <= 1e-8 * 1e-20
+    assert abs(report.weighted_mass - 1e-20) <= 1e-8 * 1e-20
+    closed = np.vstack([V, V[:1]])
+    assert PolyCurve(closed, validate=False).n == 64
+
+
 def test_isoperimetric_quotient():
     c = PolyCurve.circle(0.8, n=512)
     rep = EvolveReport(

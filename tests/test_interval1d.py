@@ -22,11 +22,11 @@ from isodense import (
     solve_symmetric,
 )
 from isodense.numerics import NumericError, bisect, central_second_diff
-from isodense import interval1d
+from isodense import density, interval1d
+from isodense.density import radial_mass_inverse
 from isodense.interval1d import (
     _beta_from_alpha,
     _beta_p_lt_1_closed,
-    _newton_inverse,
     solve_general_batch,
     solve_p_lt_1_batch,
 )
@@ -168,9 +168,17 @@ def test_p_half_closed_form_yields_to_bisection_at_huge_mass():
     assert sol.beta == pytest.approx((1.5 * M0) ** (2.0 / 3.0), rel=1e-9)
 
 
+def test_p_half_closed_form_steps_aside_when_a_cubed_overflows():
+    assert _beta_p_lt_1_closed(0.5, 2.69661696932527e+80, 4.150746624605548e+288) is None
+    assert _beta_p_lt_1_closed(0.5, 1e200, 1.0) is None
+
+
 def test_solve_symmetric():
-    assert solve_symmetric(Density(2, 1), 1.0).beta == pytest.approx(
-        solve_p2(1.0, 1.0).beta, rel=1e-11)
+    # p = 2, a = 1: 2*beta**3/3 + 2*beta = 1 has the root 2**(1/3) - 2**(-1/3);
+    # solve_p2's symmetric branch is this solver
+    beta2 = solve_symmetric(Density(2, 1), 1.0).beta
+    assert beta2 == pytest.approx(2 ** (1 / 3) - 2 ** (-1 / 3), rel=1e-15)
+    assert solve_p2(1.0, 1.0).beta == beta2
     sol4 = solve_symmetric(Density(4, 1), 1.0)
     resid = 2.0 * sol4.beta ** 5 / 5.0 + 2.0 * sol4.beta - 1.0
     assert abs(resid) < 1e-12
@@ -267,19 +275,20 @@ def test_newton_inverse_matches_bisection():
     p = rng.uniform(0.1, 6.0, 40)
     a = np.where(rng.random(40) < 0.25, 0.0, rng.uniform(0.0, 3.0, 40))
     m = 10.0 ** rng.uniform(-6.0, 6.0, 40)
-    for pk, ak, mk in zip(p, a, m):
-        q = float(_newton_inverse(pk, ak, mk))
-        F = lambda x: x ** (pk + 1.0) / (pk + 1.0) + ak * x - mk
-        ref = bisect(F, 0.0, 2.0 * q + 1.0)
-        assert q == pytest.approx(ref, rel=1e-14)
+    for d in (1, 2, 3):  # the primitive, and the radial mass over k_d in 2D and 3D
+        for pk, ak, mk in zip(p, a, m):
+            q = float(radial_mass_inverse(pk, ak, mk, d))
+            G = lambda x: x ** (pk + d) / (pk + d) + ak * x ** d / d - mk
+            ref = bisect(G, 0.0, 2.0 * q + 1.0)
+            assert q == pytest.approx(ref, rel=1e-14)
     # m = 0 (also with a = 0, where the derivative at the root vanishes)
-    assert _newton_inverse(2.0, np.array([0.0, 0.5]), 0.0).tolist() == [0.0, 0.0]
+    assert radial_mass_inverse(2.0, np.array([0.0, 0.5]), 0.0).tolist() == [0.0, 0.0]
 
 
 def test_newton_inverse_cap_is_numeric_failure(monkeypatch):
-    monkeypatch.setattr(interval1d, "_NEWTON_CAP", 1)
+    monkeypatch.setattr(density, "_NEWTON_CAP", 1)
     with pytest.raises(NumericError):
-        _newton_inverse(4.0, 0.3, 1.0)
+        radial_mass_inverse(4.0, 0.3, 1.0)
 
 
 def test_batches_split_into_blocks_without_changing_rows(monkeypatch):
@@ -427,7 +436,6 @@ def test_contour_curvatures_match_finite_differences():
     assert dd_per == pytest.approx(fd_per, rel=1e-4)
 
     c_mass = dens.primitive(s0) + dens.primitive(b0)
-    from isodense.interval1d import _invert_primitive
-    beta_on_mass = lambda s: _invert_primitive(dens, c_mass - dens.primitive(s))
+    beta_on_mass = lambda s: float(radial_mass_inverse(dens.p, dens.a, c_mass - dens.primitive(s)))
     fd_mass = central_second_diff(beta_on_mass, s0, h=1e-4)
     assert dd_mass == pytest.approx(fd_mass, rel=1e-4)

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from isodense.numerics import (
-    RootConfig,
     bisect,
     central_diff,
     central_second_diff,
@@ -48,13 +47,6 @@ def test_bisect_stable_under_bracket_choice():
 def test_grow_bracket():
     hi = grow_bracket(lambda x: x - 40.0, 1.0)
     assert hi >= 40.0
-
-
-def test_root_config_validation():
-    with pytest.raises(ValueError):
-        RootConfig(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        RootConfig(max_iters=0)
 
 
 def test_golden_min_quadratic():

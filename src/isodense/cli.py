@@ -50,11 +50,16 @@ from .radial import (
     solve_3d_p2,
     symmetric_ball_batch,
 )
+from .spectral import spectral_2d, spectral_3d_axisym
 
 __all__ = ["main"]
 
 VERIFY_SUITES = ("oracle1d", "branch-continuity", "reduction", "radial-quadrature",
-                 "evolver-p2")
+                 "evolver-p2", "spectral")
+
+# Converged spectral optima at p = 4, a = 0.1, M = 1 (node counts 33-65 in 2D
+# and 12-32 in 3D agree to 1e-12); the polygon evolver sits below both.
+SPECTRAL_P4_REFERENCES = {2: 5.012386458629, 3: 6.54363266353}
 
 
 # Rows formatted and written at a time: the CSV text held in memory is one block.
@@ -329,6 +334,27 @@ def _verify_evolver_p2(failures: list) -> None:
     _check("evolver-p2 circularity", abs(q - 1.0), abs(q - 1.0) <= 2e-3, failures)
 
 
+def _verify_spectral(failures: list) -> None:
+    # a = 1 is on the centred branch in 2D and 3D; an uncertified solve fails
+    for d, spectral, closed in ((2, spectral_2d, solve_2d_p2),
+                                (3, spectral_3d_axisym, solve_3d_p2)):
+        worst = 0.0
+        for a in (0.0, 0.1, 0.2, 1.0):
+            opt = spectral(Density(2.0, a), 1.0)
+            ref = closed(a, 1.0).perimeter
+            worst = max(worst, abs(opt.perimeter - ref) / ref if opt.certified else math.inf)
+        _check(f"spectral {d}D p=2 vs closed form", worst, worst <= 1e-12, failures)
+    for d, spectral, counts in ((2, spectral_2d, (33, 49, 65)),
+                                (3, spectral_3d_axisym, (16, 24, 32))):
+        ref = SPECTRAL_P4_REFERENCES[d]
+        worst = 0.0
+        for nodes in counts:
+            opt = spectral(Density(4.0, 0.1), 1.0, nodes=nodes)
+            worst = max(worst, abs(opt.perimeter - ref) / ref if opt.certified else math.inf)
+        _check(f"spectral {d}D p=4 a=0.1 reference at {counts} nodes", worst, worst <= 1e-10,
+               failures)
+
+
 def _cmd_verify(args) -> int:
     failures: list = []
     suite = args.suite
@@ -345,6 +371,8 @@ def _cmd_verify(args) -> int:
         _verify_radial_quadrature(failures)
     elif suite == "evolver-p2":
         _verify_evolver_p2(failures)
+    elif suite == "spectral":
+        _verify_spectral(failures)
     if failures:
         print(f"{len(failures)} check(s) failed")
         return 2

@@ -8,6 +8,10 @@ a uniform offset along vertex normals.  Steps are accepted only if the
 weighted perimeter does not increase and the curve stays star-shaped
 (which guarantees it stays simple).
 
+A run starts from the spectral optimum (isodense.spectral) sampled at the
+run's vertex count when that solve is certified, and otherwise from a
+displaced circle or sphere; the descent is the same either way.
+
 All functionals are discretized consistently with their analytic
 gradients: perimeter by edge midpoints, mass by fanning signed triangles
 from the origin with a tensor Gauss-Legendre rule (7 radial x 4 angular
@@ -17,6 +21,7 @@ contain the origin.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +30,7 @@ import numpy as np
 from .density import Density, Dimension, check_mass
 from .numerics import NumericError, gauss_legendre_nodes
 from .radial import symmetric_ball
+from .spectral import _initial_center, spectral_2d, spectral_3d_axisym
 
 __all__ = [
     "PolyCurve",
@@ -49,24 +55,44 @@ _U7 = 0.5 * (_X7 + 1.0)
 _WU7 = 0.5 * _W7
 
 
+@functools.cache
 def _radial_factor(p: float) -> float:
     # integral of u**(p+1) over [0,1]; exact 1/(p+2) for the polynomial cases
     return float(np.sum(_WU7 * _U7 ** (p + 1.0)))
 
 
+@functools.cache
 def _radial_factor_rev(p: float) -> float:
     # integral of u**(p+2) over [0,1], for surfaces of revolution
     return float(np.sum(_WU7 * _U7 ** (p + 2.0)))
 
 
+def _next(X: np.ndarray) -> np.ndarray:
+    """Row i holds X[i + 1], cyclically: np.roll(X, -1, axis=0) at a fraction of its overhead."""
+    return np.concatenate((X[1:], X[:1]))
+
+
+def _prev(X: np.ndarray) -> np.ndarray:
+    """Row i holds X[i - 1], cyclically: np.roll(X, 1, axis=0)."""
+    return np.concatenate((X[-1:], X[:-1]))
+
+
+_TURN = np.array([1.0, -1.0])
+
+
+def _perp(X: np.ndarray) -> np.ndarray:
+    """Rows (y, -x) for rows (x, y): each turned clockwise by a right angle."""
+    return X[:, ::-1] * _TURN
+
+
 def _star_ok(V: np.ndarray, ref: np.ndarray) -> bool:
     """True if the closed vertex loop winds once, monotonically, about ref."""
     W = V - ref
-    if np.min(np.hypot(W[:, 0], W[:, 1])) <= 0.0:
+    if np.hypot(W[:, 0], W[:, 1]).min() <= 0.0:
         return False
     ang = np.arctan2(W[:, 1], W[:, 0])
-    steps = np.mod(np.diff(ang, append=ang[:1]), _TWO_PI)
-    return abs(float(np.sum(steps)) - _TWO_PI) < 1e-9 and float(np.max(steps)) < math.pi
+    steps = np.mod(_next(ang) - ang, _TWO_PI)
+    return abs(float(steps.sum()) - _TWO_PI) < 1e-9 and float(steps.max()) < math.pi
 
 
 class PolyCurve:
@@ -92,7 +118,7 @@ class PolyCurve:
 
     def _validate(self):
         V = self._V
-        E = np.roll(V, -1, axis=0) - V
+        E = _next(V) - V
         if np.min(np.hypot(E[:, 0], E[:, 1])) <= 0.0:
             raise ValueError("curve has a zero-length edge")
         if _signed_area(V) <= 0.0:
@@ -119,7 +145,7 @@ class PolyCurve:
         return self._V.mean(axis=0)
 
     def unweighted_perimeter(self) -> float:
-        E = np.roll(self._V, -1, axis=0) - self._V
+        E = _next(self._V) - self._V
         return float(np.sum(np.hypot(E[:, 0], E[:, 1])))
 
     def unweighted_area(self) -> float:
@@ -127,49 +153,49 @@ class PolyCurve:
 
 
 def _signed_area(V: np.ndarray) -> float:
-    Vn = np.roll(V, -1, axis=0)
+    Vn = _next(V)
     return 0.5 * float(np.sum(V[:, 0] * Vn[:, 1] - V[:, 1] * Vn[:, 0]))
 
 
 def _perimeter(dens: Density, V: np.ndarray) -> float:
-    Vn = np.roll(V, -1, axis=0)
+    Vn = _next(V)
     E = Vn - V
     L = np.hypot(E[:, 0], E[:, 1])
     mid = 0.5 * (V + Vn)
     rm = np.hypot(mid[:, 0], mid[:, 1])
-    return float(np.sum(L * (rm ** dens.p + dens.a)))
+    return float((L * (rm ** dens.p + dens.a)).sum())
 
 
 def _perimeter_grad(dens: Density, V: np.ndarray) -> tuple[float, np.ndarray]:
     p, a = dens.p, dens.a
-    Vn = np.roll(V, -1, axis=0)
+    Vn = _next(V)
     E = Vn - V
     L = np.hypot(E[:, 0], E[:, 1])
     mid = 0.5 * (V + Vn)
     rm = np.maximum(np.hypot(mid[:, 0], mid[:, 1]), 1e-300)
     rho = rm ** p + a
-    per = float(np.sum(L * rho))
+    per = float((L * rho).sum())
     ehat = E / L[:, None]
     # d(rho(rm))/d(mid) pulled back to the two edge vertices (factor 1/2 each)
     radial = (0.5 * L * p * rm ** (p - 2.0))[:, None] * mid
     g_start = -rho[:, None] * ehat + radial
     g_end = rho[:, None] * ehat + radial
-    return per, g_start + np.roll(g_end, 1, axis=0)
+    return per, g_start + _prev(g_end)
 
 
 def _mass(dens: Density, V: np.ndarray) -> float:
     p, a = dens.p, dens.a
-    Vn = np.roll(V, -1, axis=0)
+    Vn = _next(V)
     cross = V[:, 0] * Vn[:, 1] - V[:, 1] * Vn[:, 0]
     P = V[None, :, :] + _T4[:, None, None] * (Vn - V)[None, :, :]
     Rn = np.hypot(P[:, :, 0], P[:, :, 1])
     S = np.einsum("j,jn->n", _WT4, Rn ** p)
-    return a * 0.5 * float(np.sum(cross)) + _radial_factor(p) * float(np.sum(cross * S))
+    return a * 0.5 * float(cross.sum()) + _radial_factor(p) * float((cross * S).sum())
 
 
 def _mass_grad(dens: Density, V: np.ndarray) -> tuple[float, np.ndarray]:
     p, a = dens.p, dens.a
-    Vn = np.roll(V, -1, axis=0)
+    Vn = _next(V)
     cross = V[:, 0] * Vn[:, 1] - V[:, 1] * Vn[:, 0]
     E = Vn - V
     P = V[None, :, :] + _T4[:, None, None] * E[None, :, :]
@@ -177,29 +203,26 @@ def _mass_grad(dens: Density, V: np.ndarray) -> tuple[float, np.ndarray]:
     Rp = Rn ** p
     S = np.einsum("j,jn->n", _WT4, Rp)
     cp = _radial_factor(p)
-    mass = a * 0.5 * float(np.sum(cross)) + cp * float(np.sum(cross * S))
+    mass = a * 0.5 * float(cross.sum()) + cp * float((cross * S).sum())
 
     # gradient of the shoelace area
-    gA = 0.5 * np.column_stack([
-        np.roll(V[:, 1], -1) - np.roll(V[:, 1], 1),
-        np.roll(V[:, 0], 1) - np.roll(V[:, 0], -1),
-    ])
+    gA = 0.5 * _perp(Vn - _prev(V))
     # d|P|^p / dP = p |P|^(p-2) P, weighted by the node shares of each vertex
     core = p * Rn ** (p - 2.0)
     T0 = np.einsum("j,jn,jnk->nk", _WT4 * (1.0 - _T4), core, P)
     T1 = np.einsum("j,jn,jnk->nk", _WT4 * _T4, core, P)
-    d_cross_start = np.column_stack([Vn[:, 1], -Vn[:, 0]])
-    d_cross_end = np.column_stack([-V[:, 1], V[:, 0]])
+    d_cross_start = _perp(Vn)
+    d_cross_end = -_perp(V)
     term_start = S[:, None] * d_cross_start + cross[:, None] * T0
     term_end = S[:, None] * d_cross_end + cross[:, None] * T1
-    G = a * gA + cp * (term_start + np.roll(term_end, 1, axis=0))
+    G = a * gA + cp * (term_start + _prev(term_end))
     return mass, G
 
 
 def weighted_perimeter_2d(dens: Density, curve: PolyCurve) -> float:
     """Weighted perimeter: sum of edge lengths times the density at edge midpoints."""
     V = curve.vertices
-    E = np.roll(V, -1, axis=0) - V
+    E = _next(V) - V
     if np.min(np.hypot(E[:, 0], E[:, 1])) <= 0.0:
         raise ValueError("curve has a zero-length edge")
     return _perimeter(dens, V)
@@ -250,10 +273,10 @@ def _smooth_open(d: np.ndarray, k0: float = 4.0) -> np.ndarray:
 
 
 def _vertex_normals(V: np.ndarray) -> np.ndarray:
-    E = np.roll(V, -1, axis=0) - V
+    E = _next(V) - V
     L = np.maximum(np.hypot(E[:, 0], E[:, 1]), 1e-300)
-    ne = np.column_stack([E[:, 1], -E[:, 0]]) / L[:, None]  # outward for ccw
-    nv = ne + np.roll(ne, 1, axis=0)
+    ne = _perp(E) / L[:, None]  # outward for ccw
+    nv = ne + _prev(ne)
     nn = np.maximum(np.hypot(nv[:, 0], nv[:, 1]), 1e-300)
     return nv / nn[:, None]
 
@@ -270,7 +293,7 @@ def _project(dens: Density, V: np.ndarray, M0: float, mass, mass_grad,
         if abs(resid) <= 1e-10 * M0:
             return V
         N = normals(V)
-        slope = float(np.sum(mass_grad(dens, V)[1] * N))
+        slope = float((mass_grad(dens, V)[1] * N).sum())
         if slope <= 0.0:
             raise NumericError("mass projection lost its outward slope")
         V = V + (-resid / slope) * N
@@ -325,12 +348,12 @@ def _curvature_spread(dens: Density, V: np.ndarray) -> float:
     if not _star_ok(V, np.zeros(2)) or np.min(r) < 1e-3 * np.max(r):
         return math.nan
     theta = np.unwrap(np.arctan2(V[:, 1], V[:, 0]))
-    h1 = theta - np.roll(theta, 1)
+    h1 = theta - _prev(theta)
     h1[0] += _TWO_PI
-    h2 = np.roll(theta, -1) - theta
+    h2 = _next(theta) - theta
     h2[-1] += _TWO_PI
-    rm = np.roll(r, 1)
-    rp = np.roll(r, -1)
+    rm = _prev(r)
+    rp = _next(r)
     denom = h1 * h2 * (h1 + h2)
     with np.errstate(all="ignore"):  # tiny curves underflow g; the spread is then NaN
         r_dot = (rp * h1 * h1 - rm * h2 * h2 + r * (h2 * h2 - h1 * h1)) / denom
@@ -375,12 +398,6 @@ def isoperimetric_quotient(report: EvolveReport) -> float:
     return report.unweighted_perimeter / math.sqrt(4.0 * math.pi * report.unweighted_area)
 
 
-def _initial_center(dens: Density, R: float) -> float:
-    if dens.p == 2.0:
-        return max(0.0, math.sqrt(max(0.0, R * R - dens.a)))
-    return 0.5 * R
-
-
 # ---------------------------------------------------------------------------
 # The descent driver, shared by both states: each function takes the state's
 # kernels as arguments, bound by thin per-state entry points.
@@ -409,10 +426,12 @@ def _line_search(dens: Density, V: np.ndarray, M0: float, per: float, dhat: np.n
     direction, is the accepted step or, after a failure, the smallest
     trial made (step0 if none was): a direction that has stopped
     descending is not halved again all the way down from the cap.
+    Halving stops at 1e-14 of the state's extent, so a tiny curve is
+    searched as a large one is.
     """
-    ref_scale = float(np.max(np.abs(V))) + 1.0
+    floor = 1e-14 * float(np.abs(V).max())
     t = step0
-    while t > 1e-14 * ref_scale:
+    while t > floor:
         Vt = V + t * dhat
         if ok(Vt):
             try:
@@ -430,7 +449,7 @@ def _line_search(dens: Density, V: np.ndarray, M0: float, per: float, dhat: np.n
 
 def _unit(direction: np.ndarray):
     """direction scaled to unit max-displacement, or None when it vanishes."""
-    dmax = float(np.max(np.abs(direction)))
+    dmax = float(np.abs(direction).max())
     return direction / dmax if dmax > 1e-300 else None
 
 
@@ -462,13 +481,13 @@ def _descend(dens: Density, V: np.ndarray, M0: float, per: float, step0: float,
     """
     gP = pin(functional_grad(dens, V)[1])
     gM = pin(mass_grad(dens, V)[1])
-    gM2 = float(np.sum(gM * gM))
+    gM2 = float((gM * gM).sum())
     if not gM2 > 0.0:  # underflows for curves of tiny extent
         raise NumericError("mass gradient vanished")
-    lam = float(np.sum(gP * gM) / gM2)
+    lam = float((gP * gM).sum() / gM2)
     d = -gP + lam * gM
     ds = smooth(d)
-    ds = pin(ds - (float(np.sum(ds * gM)) / gM2) * gM)
+    ds = pin(ds - (float((ds * gM).sum()) / gM2) * gM)
     moved = False
     for k, dhat in enumerate((_unit(ds), _unit(d), _rigid_shift(d, free))):
         if dhat is not None:
@@ -508,7 +527,7 @@ def _drive(dens: Density, V: np.ndarray, M0: float, max_iters: int, tol: float,
     while iterations < max_iters:
         iterations += 1
         E = edges(V)
-        step0 = 0.1 * float(np.mean(np.hypot(E[:, 0], E[:, 1])))
+        step0 = 0.1 * float(np.hypot(E[:, 0], E[:, 1]).mean())
         V, per, accepted = step(dens, V, M0, per, step0, steps)
         if accepted:
             stalled = 0
@@ -549,7 +568,9 @@ def evolve_2d(dens: Density, M0: float, n: int = 256, max_iters: int = 4000,
               tol: float = 1e-9) -> EvolveReport:
     """Minimize weighted perimeter at fixed weighted mass M0 in the plane.
 
-    Starts from a circle whose radius solves the centred mass equation,
+    Starts from the spectral optimum (spectral.spectral_2d) sampled at n
+    points equally spaced in arc length when that solve is certified;
+    otherwise from a circle whose radius solves the centred mass equation,
     displaced along the x-axis to dodge the centred saddle when the
     optimum straddles the origin.  Terminates when the relative perimeter
     decrease over 50 iterations falls below tol (with the mass constraint
@@ -559,11 +580,15 @@ def evolve_2d(dens: Density, M0: float, n: int = 256, max_iters: int = 4000,
     _check_run(M0, max_iters, tol)
     if n < 64:
         raise ValueError("need at least 64 vertices")
-    R = symmetric_ball(dens, Dimension(2), M0).radius
-    V = PolyCurve.circle(R, center=(_initial_center(dens, R), 0.0), n=n).vertices
+    start = spectral_2d(dens, M0)
+    if start.certified:
+        V = start.sample(n)
+    else:
+        R = symmetric_ball(dens, Dimension(2), M0).radius
+        V = PolyCurve.circle(R, center=(_initial_center(dens, R), 0.0), n=n).vertices
     V, per, mass, iterations, converged = _drive(
         dens, V, M0, max_iters, tol, _project_mass, _perimeter, _mass, descent_step,
-        lambda X: np.roll(X, -1, axis=0) - X, _resample_closed)
+        lambda X: _next(X) - X, _resample_closed)
     curve = PolyCurve(V, validate=False)
     cx, cy, R_fit = _fit_circle(V)
     return EvolveReport(
@@ -591,7 +616,7 @@ def _rev_area(dens: Density, W: np.ndarray) -> float:
     L = np.hypot(E[:, 0], E[:, 1])
     mid = 0.5 * (A + B)
     rm = np.hypot(mid[:, 0], mid[:, 1])
-    return _TWO_PI * float(np.sum(mid[:, 1] * L * (rm ** dens.p + dens.a)))
+    return _TWO_PI * float((mid[:, 1] * L * (rm ** dens.p + dens.a)).sum())
 
 
 def _rev_area_grad(dens: Density, W: np.ndarray) -> tuple[float, np.ndarray]:
@@ -603,7 +628,7 @@ def _rev_area_grad(dens: Density, W: np.ndarray) -> tuple[float, np.ndarray]:
     ym = mid[:, 1]
     rm = np.maximum(np.hypot(mid[:, 0], mid[:, 1]), 1e-300)
     rho = rm ** p + a
-    area = _TWO_PI * float(np.sum(ym * L * rho))
+    area = _TWO_PI * float((ym * L * rho).sum())
     ehat = E / L[:, None]
     radial = (0.5 * ym * L * p * rm ** (p - 2.0))[:, None] * mid
     y_term = np.column_stack([np.zeros_like(ym), 0.5 * L * rho])
@@ -622,8 +647,8 @@ def _rev_mass(dens: Density, W: np.ndarray) -> float:
     P = A[None, :, :] + _T4[:, None, None] * (B - A)[None, :, :]
     Rn = np.hypot(P[:, :, 0], P[:, :, 1])
     T = np.einsum("j,jn->n", _WT4, P[:, :, 1] * Rn ** p)
-    vol = math.pi / 3.0 * float(np.sum(cross * (A[:, 1] + B[:, 1])))
-    return a * vol + _TWO_PI * _radial_factor_rev(p) * float(np.sum(cross * T))
+    vol = math.pi / 3.0 * float((cross * (A[:, 1] + B[:, 1])).sum())
+    return a * vol + _TWO_PI * _radial_factor_rev(p) * float((cross * T).sum())
 
 
 def _rev_mass_grad(dens: Density, W: np.ndarray) -> tuple[float, np.ndarray]:
@@ -637,15 +662,15 @@ def _rev_mass_grad(dens: Density, W: np.ndarray) -> tuple[float, np.ndarray]:
     yP = P[:, :, 1]
     T = np.einsum("j,jn->n", _WT4, yP * Rp)
     cp = _radial_factor_rev(p)
-    vol = math.pi / 3.0 * float(np.sum(cross * (A[:, 1] + B[:, 1])))
-    mass = a * vol + _TWO_PI * cp * float(np.sum(cross * T))
+    vol = math.pi / 3.0 * float((cross * (A[:, 1] + B[:, 1])).sum())
+    mass = a * vol + _TWO_PI * cp * float((cross * T).sum())
 
     core = p * yP[:, :, None] * Rn[:, :, None] ** (p - 2.0) * P
     core[:, :, 1] += Rp
     dT0 = np.einsum("j,jnk->nk", _WT4 * (1.0 - _T4), core)
     dT1 = np.einsum("j,jnk->nk", _WT4 * _T4, core)
-    d_cross_start = np.column_stack([B[:, 1], -B[:, 0]])
-    d_cross_end = np.column_stack([-A[:, 1], A[:, 0]])
+    d_cross_start = _perp(B)
+    d_cross_end = -_perp(A)
     ysum = A[:, 1] + B[:, 1]
     y_unit = np.column_stack([np.zeros_like(ysum), np.ones_like(ysum)])
     gV_start = math.pi / 3.0 * (d_cross_start * ysum[:, None] + cross[:, None] * y_unit)
@@ -667,7 +692,7 @@ def _pin_poles(G: np.ndarray) -> np.ndarray:
 def _profile_normals(W: np.ndarray) -> np.ndarray:
     E = W[1:] - W[:-1]
     L = np.maximum(np.hypot(E[:, 0], E[:, 1]), 1e-300)
-    ne = np.column_stack([E[:, 1], -E[:, 0]]) / L[:, None]
+    ne = _perp(E) / L[:, None]
     N = np.zeros_like(W)
     N[:-1] += ne
     N[1:] += ne
@@ -681,7 +706,7 @@ def _profile_normals(W: np.ndarray) -> np.ndarray:
 
 
 def _profile_ok(W: np.ndarray) -> bool:
-    if np.any(W[1:-1, 1] <= 0.0):
+    if (W[1:-1, 1] <= 0.0).any():
         return False
     if W[0, 0] <= W[-1, 0]:
         return False
@@ -728,14 +753,21 @@ def evolve_3d_axisym(dens: Density, M0: float, n: int = 129, max_iters: int = 40
 
     The state is a half-profile polyline revolved about the x-axis, with
     the poles pinned to the axis; otherwise the scheme matches evolve_2d.
+    It starts from the certified spectral optimum (spectral_3d_axisym),
+    sampled at n points equally spaced in arc length from pole to pole,
+    or else from the displaced sphere.
     """
     _check_run(M0, max_iters, tol)
     if n < 17:
         raise ValueError("need at least 17 profile points")
-    R = symmetric_ball(dens, Dimension(3), M0).radius
-    theta = np.linspace(0.0, math.pi, n)
-    W = _pin_poles(np.column_stack([_initial_center(dens, R) + R * np.cos(theta),
-                                    R * np.sin(theta)]))
+    start = spectral_3d_axisym(dens, M0)
+    if start.certified:
+        W = start.sample(n)
+    else:
+        R = symmetric_ball(dens, Dimension(3), M0).radius
+        theta = np.linspace(0.0, math.pi, n)
+        W = _pin_poles(np.column_stack([_initial_center(dens, R) + R * np.cos(theta),
+                                        R * np.sin(theta)]))
     W, area, mass, iterations, converged = _drive(
         dens, W, M0, max_iters, tol, _project_mass_rev, _rev_area, _rev_mass, _rev_step,
         lambda X: np.diff(X, axis=0), _resample_profile)

@@ -254,6 +254,8 @@ def _beta_from_alpha(dens: Density, alpha_abs: float, M0: float) -> float:
 def _solution(dens: Density, s: float, beta: float, M0: float,
               branch: IntervalBranch) -> IntervalSolution:
     """[-s, beta] as a solution, once it meets the mass constraint to MASS_RTOL."""
+    if not (s >= 0.0 and beta >= 0.0):  # a NaN or negative endpoint: the solve failed
+        raise NumericError(f"endpoints [{-s}, {beta}] are not a valid interval")
     try:
         resid = abs(dens.primitive(s) + dens.primitive(beta) - M0) / M0
     except OverflowError:  # an endpoint's power past the float range
@@ -291,15 +293,17 @@ def solve_general_batch(p: float, a_values, M0: float) -> list[IntervalSolution]
 
     rows = np.arange(a.size)
     lo, hi = np.zeros(a.size), np.ones(a.size)
-    for _ in range(_SECTION_ITERS):
-        t = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, _SECTIONS + 1)
-        i = np.argmin(objective(t)[0], axis=1)
-        lo, hi = t[rows, np.maximum(i - 1, 0)], t[rows, np.minimum(i + 1, _SECTIONS)]
-    # the exact s = 0, then symmetric, candidates win ties within rounding (flat near a_crit)
-    cand = np.stack([np.zeros(a.size), np.ones(a.size), t[rows, i]], axis=1)
-    per, betas = objective(cand)
-    pick = np.argmax(per <= per.min(axis=1, keepdims=True) * (1.0 + _TIE_RTOL), axis=1)
-    s_best, beta = (cand[rows, pick] * s_sym).tolist(), betas[rows, pick].tolist()
+    # near the top of the float range s_sym or beta overflow; _solution refuses the row
+    with np.errstate(all="ignore"):
+        for _ in range(_SECTION_ITERS):
+            t = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, _SECTIONS + 1)
+            i = np.argmin(objective(t)[0], axis=1)
+            lo, hi = t[rows, np.maximum(i - 1, 0)], t[rows, np.minimum(i + 1, _SECTIONS)]
+        # the exact s = 0, then symmetric, candidates win ties within rounding (flat near a_crit)
+        cand = np.stack([np.zeros(a.size), np.ones(a.size), t[rows, i]], axis=1)
+        per, betas = objective(cand)
+        pick = np.argmax(per <= per.min(axis=1, keepdims=True) * (1.0 + _TIE_RTOL), axis=1)
+        s_best, beta = (cand[rows, pick] * s_sym).tolist(), betas[rows, pick].tolist()
     out = []
     for k, d in enumerate(dens):
         s, b = s_best[k], beta[k]

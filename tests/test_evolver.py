@@ -226,7 +226,8 @@ def _uphill(dens, X, functional_grad, mass_grad, pin):
 
 def test_failed_line_search_keeps_state_and_remembers_its_smallest_trial(monkeypatch):
     # every trial uphill along the constraint is rejected, down to the
-    # 1e-14 floor; the next search along the direction starts near there
+    # floor of 1e-14 of the state's extent; the next search along the
+    # direction starts near there
     dens, M0, step0 = Density(2, 0.3), 1.0, 0.01
     V = _project_mass(dens, _wobbly_curve(n=96, seed=4, center=(0.3, 0.0)), M0)
     W = _project_mass_rev(dens, _wobbly_profile(), M0)
@@ -236,7 +237,7 @@ def test_failed_line_search_keeps_state_and_remembers_its_smallest_trial(monkeyp
               _uphill(dens, W, _rev_area_grad, _rev_mass_grad, ev._pin_poles))]
     for name, X, per, dhat in cases:
         Y, per2, step, memory = getattr(ev, name)(dens, X, M0, per, dhat, step0)
-        floor = 1e-14 * (float(np.max(np.abs(X))) + 1.0)
+        floor = 1e-14 * float(np.max(np.abs(X)))
         assert Y is X and per2 == per and step == 0.0, name
         assert 0.0 < memory <= 2.0 * floor, name
         assert ev._first_trial(step0, memory) == 4.0 * memory
@@ -253,6 +254,18 @@ def test_failed_line_search_keeps_state_and_remembers_its_smallest_trial(monkeyp
         hooks.remove()
     assert tracer.counts["evolver.linesearch"] == 2
     assert tracer.counts["evolver.linesearch_accepted"] == 0
+
+
+def test_line_search_floor_is_relative_to_the_curve(monkeypatch):
+    # an absolute floor (1e-14 * (max|V| + 1)) lies above every first trial
+    # once the curve is tiny: the run then made no trial at all, projected
+    # only once, and still reported convergence
+    calls = _count_calls(monkeypatch, "_project_mass")
+    M0 = 1e-24
+    report = evolve_2d(Density(4, 0.1), M0, n=256)
+    assert calls[0] > 1
+    assert abs(report.weighted_mass - M0) <= 1e-8 * M0
+    assert abs(_mass(Density(4, 0.1), report.final_curve.vertices) - M0) <= 1e-8 * M0
 
 
 def test_resample_preserves_geometry():

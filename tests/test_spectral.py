@@ -1,0 +1,178 @@
+"""The spectral Newton-KKT boundary solver and the evolver's start from it."""
+
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import isodense.evolver as ev
+import isodense.spectral as sp
+from isodense import Density, Dimension, PolyCurve, solve_2d_p2, solve_3d_p2, symmetric_ball
+from isodense.spectral import spectral_2d, spectral_3d_axisym
+
+# Converged p = 4, a = 0.1, M = 1 optima: node counts 33-65 (2D) and 12-32
+# (3D) agree to 1e-12.  The polygon evolver sits below both (O(h^2) bias).
+P4_REF = {2: 5.012386458629, 3: 6.54363266353}
+SOLVERS = {2: (spectral_2d, solve_2d_p2), 3: (spectral_3d_axisym, solve_3d_p2)}
+
+
+def _rel(x, ref):
+    return abs(x - ref) / abs(ref)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("a", [0.0, 0.1, 0.2, 1.0])  # a = 1 is on the centred branch
+def test_p2_matches_the_closed_forms(d, a):
+    spectral, closed = SOLVERS[d]
+    opt = spectral(Density(2.0, a), 1.0)
+    ref = closed(a, 1.0)
+    assert opt.certified
+    assert opt.residual <= sp.KKT_RTOL
+    assert _rel(opt.perimeter, ref.perimeter) <= 1e-12
+    assert _rel(opt.mass, 1.0) <= 1e-12
+    # the boundary is the closed form's circle or sphere, to first order in
+    # the residual (the perimeter is second order)
+    phi = np.linspace(0.0, math.pi, 50)
+    r = opt.radius(phi)[0]
+    x = opt.center + r * np.cos(phi) - ref.center_offset
+    y = r * np.sin(phi)
+    assert np.max(np.abs(np.hypot(x, y) - ref.radius)) <= 1e-6 * ref.radius
+
+
+@pytest.mark.parametrize("d, counts", [(2, (33, 49, 65)), (3, (16, 24, 32))])
+def test_p4_reproduces_the_references_at_three_node_counts(d, counts):
+    spectral = SOLVERS[d][0]
+    for nodes in counts:
+        opt = spectral(Density(4.0, 0.1), 1.0, nodes=nodes)
+        assert opt.certified, nodes
+        assert _rel(opt.perimeter, P4_REF[d]) <= 1e-10, (nodes, opt.perimeter)
+        # the optimum is off-centre: it beats the centred ball by far
+        ball = symmetric_ball(Density(4.0, 0.1), Dimension(d), 1.0).perimeter
+        assert opt.perimeter < ball * (1.0 - 1e-3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([2, 3]), p=st.sampled_from([2.0, 4.0]),
+       a=st.floats(1e-3, 1.0), log_mass=st.floats(-100.0, 100.0))
+def test_scaled_solve_meets_its_mass(d, p, a, log_mass):
+    M0 = 10.0 ** log_mass
+    opt = SOLVERS[d][0](Density(p, a), M0)
+    # the mass of the returned boundary, evaluated at its own scale
+    z = opt.coeffs.copy()
+    z[1] = opt.center  # the solver's unknowns: the centre replaces the first-degree term
+    parts = sp._values(sp._nodes(d, 33 if d == 2 else 24), p, z)
+    assert _rel(parts[2] + a * parts[3], M0) <= 1e-12
+    assert np.min(opt.radius(np.linspace(0.0, 2.0 * math.pi, 400))[0]) > 0.0
+    assert opt.certified
+
+
+def test_node_counts_are_checked():
+    with pytest.raises(ValueError):
+        spectral_2d(Density(2.0, 0.1), 1.0, nodes=32)  # even: a free Nyquist mode
+    with pytest.raises(ValueError):
+        spectral_3d_axisym(Density(2.0, 0.1), 1.0, nodes=3)
+    with pytest.raises(ValueError):
+        spectral_2d(Density(2.0, 0.1), math.nan)
+
+
+@pytest.mark.parametrize("d, n", [(2, 256), (3, 129)])
+def test_samples_lie_on_the_boundary_equally_spaced(d, n):
+    opt = SOLVERS[d][0](Density(4.0, 0.1), 1.0)
+    V = opt.sample(n)
+    assert V.shape == (n, 2)
+    phi = np.arctan2(V[:, 1], V[:, 0] - opt.center)
+    r = np.hypot(V[:, 0] - opt.center, V[:, 1])
+    assert np.max(np.abs(r - opt.radius(np.mod(phi, 2.0 * math.pi))[0])) <= 1e-12
+    seg = np.hypot(*np.diff(np.vstack([V, V[:1]]) if d == 2 else V, axis=0).T)
+    assert np.max(seg) / np.min(seg) < 1.001
+    if d == 3:
+        assert V[0, 1] == 0.0 and V[-1, 1] == 0.0 and V[0, 0] > V[-1, 0]
+
+
+class _Started(Exception):
+    """Raised by a patched _drive: the run's start is all a test needs."""
+
+
+def _capture_start(monkeypatch):
+    """Patch the evolver's descent to record its start and stop the run."""
+    starts = []
+
+    def drive(dens, V, *args):
+        starts.append(V.copy())
+        raise _Started
+
+    monkeypatch.setattr(ev, "_drive", drive)
+    return starts
+
+
+def _record_solves(monkeypatch):
+    """Wrap the evolver's spectral solves; returns the list of their results."""
+    results = []
+    for name in ("spectral_2d", "spectral_3d_axisym"):
+        def wrapper(*args, _solve=getattr(ev, name)):
+            results.append(_solve(*args))
+            return results[-1]
+        monkeypatch.setattr(ev, name, wrapper)
+    return results
+
+
+@pytest.mark.uncertified_start
+def test_uncertified_solve_starts_from_the_circle(monkeypatch):
+    # at p = 6, a = 0 the optimum nearly touches the origin with a shape 33
+    # nodes do not resolve (65 nodes certify), and the solve does not certify
+    dens, M0, n = Density(6.0, 0.0), 1.0, 128
+    results = _record_solves(monkeypatch)
+    starts = _capture_start(monkeypatch)
+    with pytest.raises(_Started):
+        ev.evolve_2d(dens, M0, n=n)
+    assert not results[0].certified
+    R = symmetric_ball(dens, Dimension(2), M0).radius
+    circle = PolyCurve.circle(R, center=(0.5 * R, 0.0), n=n).vertices
+    assert np.array_equal(starts[0], circle)
+
+
+@pytest.mark.uncertified_start
+def test_uncertified_residual_starts_from_the_circle(monkeypatch):
+    # p = 2, a = 0.2 certifies; with the bound made unreachable it must not
+    monkeypatch.setattr(sp, "KKT_RTOL", 0.0)
+    starts = _capture_start(monkeypatch)
+    dens, n = Density(2.0, 0.2), 64
+    for evolve in (ev.evolve_2d, ev.evolve_3d_axisym):
+        with pytest.raises(_Started):
+            evolve(dens, 1.0, n=n)
+    R2 = symmetric_ball(dens, Dimension(2), 1.0).radius
+    c2 = math.sqrt(R2 * R2 - 0.2)
+    assert np.array_equal(starts[0], PolyCurve.circle(R2, center=(c2, 0.0), n=n).vertices)
+    R3 = symmetric_ball(dens, Dimension(3), 1.0).radius
+    assert np.max(np.abs(np.hypot(starts[1][:, 0] - math.sqrt(R3 * R3 - 0.2),
+                                  starts[1][:, 1]) - R3)) <= 1e-15
+
+
+def test_certified_solve_is_the_start(monkeypatch):
+    starts = _capture_start(monkeypatch)
+    dens = Density(4.0, 0.1)
+    with pytest.raises(_Started):
+        ev.evolve_2d(dens, 1.0, n=128)
+    with pytest.raises(_Started):
+        ev.evolve_3d_axisym(dens, 1.0, n=65)
+    assert np.array_equal(starts[0], spectral_2d(dens, 1.0).sample(128))
+    assert np.array_equal(starts[1], spectral_3d_axisym(dens, 1.0).sample(65))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4242])
+def test_benchmark_evolver_runs_start_certified(monkeypatch, seed):
+    # the conftest spy fails this test if an operation starts uncertified
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    starts = _capture_start(monkeypatch)
+    results = _record_solves(monkeypatch)
+    ops = [op for w in ("evolve2d", "evolve3d") for op in workloads.build(w, seed).ops]
+    for op in ops:
+        with pytest.raises(_Started):
+            op.run("")
+    assert len(starts) == len(ops) == 5
+    assert [opt.certified for opt in results] == [True] * 5

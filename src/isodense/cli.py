@@ -88,9 +88,10 @@ def _write_csv(path: Optional[str], header: list[str], columns: list) -> None:
     """Write equal-length columns as CSV rows to path (stdout if None).
 
     A float ndarray column prints as %.12g, with -0.0 as 0, as _fmt does;
-    any other column (a sequence of str or int, or an int ndarray) prints
-    as str.  Rows are formatted with one %-template per block of
-    CSV_BLOCK_ROWS and written as they are formatted.
+    any other column (a sequence of str or int, or an int or object
+    ndarray) prints as str, so an object column of str prints as-is.
+    Rows are formatted with one %-template per block of CSV_BLOCK_ROWS
+    and written as they are formatted.
     """
     floats = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
     row = ",".join("%.12g" if f else "%s" for f in floats) + "\n"
@@ -204,8 +205,11 @@ def _cmd_contour(args) -> int:
     band = 0.5 * max(dm_i, dm_j)
     mass = grid.mass.ravel()
     n = args.grid
+    # each coordinate repeats n times in the CSV: format it once, print the text
+    alpha = np.array([_fmt(x) for x in grid.alpha_abs.tolist()], dtype=object)
+    beta = np.array([_fmt(x) for x in grid.beta.tolist()], dtype=object)
     _write_csv(args.out, ["alpha_abs", "beta", "perimeter", "mass", "on_constraint"],
-               [np.repeat(grid.alpha_abs, n), np.tile(grid.beta, n), grid.perimeter.ravel(),
+               [np.repeat(alpha, n), np.tile(beta, n), grid.perimeter.ravel(),
                 mass, (np.abs(mass - args.mass) < band).astype(np.int8)])
     return 0
 

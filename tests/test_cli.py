@@ -328,14 +328,19 @@ def test_write_csv_matches_the_per_value_format(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().out == expected
 
 
-def test_contour_bytes_across_blocks_match_a_row_by_row_reference(tmp_path, capsys):
+@pytest.mark.parametrize("n", [2, 70])
+@pytest.mark.parametrize("mass", [1e-300, 1.2, 1e300])  # the extremes print in exponent form
+@pytest.mark.parametrize("a", [0.0, 0.3])
+@pytest.mark.parametrize("p", [0.5, 4.0])
+def test_contour_bytes_across_blocks_match_a_row_by_row_reference(tmp_path, capsys,
+                                                                   p, a, mass, n):
     import isodense.cli as cli_mod
     from isodense import Density
     from isodense.density import radial_mass_inverse
     from isodense.interval1d import contour_grid
 
-    n, p, a, mass = 70, 4.0, 0.3, 1.2
-    assert n * n > cli_mod.CSV_BLOCK_ROWS and n * n % cli_mod.CSV_BLOCK_ROWS != 0
+    if n > 2:  # a full block and a partial one
+        assert n * n > cli_mod.CSV_BLOCK_ROWS and n * n % cli_mod.CSV_BLOCK_ROWS != 0
     argv = ["contour", "--p", str(p), "--a", str(a), "--mass", str(mass), "--grid", str(n)]
     out_file = tmp_path / "c.csv"
     code, stdout, _ = run_cli(capsys, *argv)
@@ -357,6 +362,19 @@ def test_contour_bytes_across_blocks_match_a_row_by_row_reference(tmp_path, caps
             lines.append(",".join([f"{v + 0.0:.12g}" for v in values]
                                   + [str(int(abs(m - mass) < band))]))
     assert stdout == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [2, 5, 101])
+def test_contour_formats_each_grid_coordinate_once(capsys, monkeypatch, n):
+    import isodense.cli as cli_mod
+
+    calls = []
+    fmt = cli_mod._fmt
+    monkeypatch.setattr(cli_mod, "_fmt", lambda x: calls.append(x) or fmt(x))
+    code, out, _ = run_cli(capsys, "contour", "--p", "4", "--a", "0.3", "--grid", str(n))
+    assert code == 0
+    assert len(out.splitlines()) == n * n + 1
+    assert len(calls) == 2 * n  # n alpha_abs and n beta values, not one per row
 
 
 def test_contour_failure_leaves_no_output_file(tmp_path, capsys, monkeypatch):

@@ -3,10 +3,12 @@
 A closed polygonal curve in the plane (or an axisymmetric profile revolved
 about the x-axis in 3D) is driven by projected gradient descent: the step
 direction is the perimeter gradient with its mass-gradient component
-removed, followed by a scalar Newton correction that restores the mass by
-a uniform offset along vertex normals.  Steps are accepted only if the
-weighted perimeter does not increase and the curve stays star-shaped
-(which guarantees it stays simple).
+removed, and each trial move is followed by chord steps that restore the
+mass by uniform offsets along the iterate's vertex normals, with the
+iterate's mass slope along them (Newton steps with a fresh gradient where
+a chord step does not help).  Steps are accepted only if the weighted
+perimeter does not increase and the curve stays star-shaped (which
+guarantees it stays simple).
 
 A run starts from the spectral optimum (isodense.spectral) sampled at the
 run's vertex count when that solve is certified, and otherwise from a
@@ -281,28 +283,38 @@ def _vertex_normals(V: np.ndarray) -> np.ndarray:
     return nv / nn[:, None]
 
 
-def _project(dens: Density, V: np.ndarray, M0: float, mass, mass_grad,
-             normals) -> np.ndarray:
-    """Restore the mass to a relative 1e-10 by Newton offsets along the state's normals.
+def _project(dens: Density, V: np.ndarray, M0: float, mass, mass_grad, normals,
+             chord) -> np.ndarray:
+    """Restore the mass to a relative 1e-10 by offsets along normals.
 
-    The residual comes from the mass-only kernel; the gradient and the
-    normals are computed only for a Newton step.
+    The residual comes from the mass-only kernel.  chord, (N, slope) of
+    the iterate a line-search trial was taken from, makes the offsets
+    chord steps along N with that slope, so a trial takes no gradient;
+    without one, when its slope is not positive, and from the first chord
+    step that does not shrink the residual on, each offset is a Newton
+    step along the state's own normals with a fresh mass gradient.
     """
+    N, slope = chord if chord is not None else (None, 0.0)
+    newton = not slope > 0.0
+    last = math.inf
     for _ in range(15):
         resid = mass(dens, V) - M0
         if abs(resid) <= 1e-10 * M0:
             return V
-        N = normals(V)
-        slope = float((mass_grad(dens, V)[1] * N).sum())
-        if slope <= 0.0:
-            raise NumericError("mass projection lost its outward slope")
+        if newton or not abs(resid) < last:
+            newton = True
+            N = normals(V)
+            slope = float((mass_grad(dens, V)[1] * N).sum())
+            if slope <= 0.0:
+                raise NumericError("mass projection lost its outward slope")
+        last = abs(resid)
         V = V + (-resid / slope) * N
     raise NumericError("mass projection did not converge")
 
 
-def _project_mass(dens: Density, V: np.ndarray, M0: float) -> np.ndarray:
+def _project_mass(dens: Density, V: np.ndarray, M0: float, chord=None) -> np.ndarray:
     """Mass projection of a closed polygon along its vertex normals."""
-    return _project(dens, V, M0, _mass, _mass_grad, _vertex_normals)
+    return _project(dens, V, M0, _mass, _mass_grad, _vertex_normals, chord)
 
 
 def _catmull_rom(P0, P1, P2, P3, t):
@@ -330,12 +342,19 @@ def _resample_closed(V: np.ndarray) -> np.ndarray:
 
 
 def _fit_circle(V: np.ndarray) -> tuple[float, float, float]:
-    """Algebraic (Kasa) circle fit: returns (cx, cy, R)."""
-    x, y = V[:, 0], V[:, 1]
+    """Algebraic (Kasa) circle fit: returns (cx, cy, R).
+
+    The fit runs on V divided by a power of two near its largest
+    coordinate: at tiny scales the column of ones would otherwise make
+    lstsq drop the coordinate columns' singular values.
+    """
+    scale = math.ldexp(1.0, math.frexp(float(np.abs(V).max()))[1])
+    x, y = V[:, 0] / scale, V[:, 1] / scale
     A = np.column_stack([2.0 * x, 2.0 * y, np.ones_like(x)])
     b = x * x + y * y
     (cx, cy, c), *_ = np.linalg.lstsq(A, b, rcond=None)
-    return float(cx), float(cy), float(math.sqrt(max(c + cx * cx + cy * cy, 0.0)))
+    R = math.sqrt(max(c + cx * cx + cy * cy, 0.0))
+    return float(cx) * scale, float(cy) * scale, R * scale
 
 
 def _curvature_spread(dens: Density, V: np.ndarray) -> float:
@@ -406,19 +425,23 @@ def isoperimetric_quotient(report: EvolveReport) -> float:
 def _first_trial(step0: float, last: float) -> float:
     """Initial step of a line search: near the step the last search remembered.
 
-    Nocedal & Wright's initial-step heuristic: start at four times the
-    memory of the previous search along the same direction (its accepted
-    step, or its smallest trial when it failed), capped at step0; with
-    nothing on record (last == 0.0: a new run or a fresh resample) start
-    at step0.
+    Nocedal & Wright's initial-step heuristic: start at twice the memory
+    of the previous search along the same direction (its accepted step,
+    or its smallest trial when it failed), capped at step0; with nothing
+    on record (last == 0.0: a new run or a fresh resample) start at
+    step0.  Twice, not four times: a search that opens at 4t mostly
+    fails there and at 2t before it accepts t, two projections wasted.
     """
-    return min(4.0 * last, step0) if last > 0.0 else step0
+    return min(2.0 * last, step0) if last > 0.0 else step0
 
 
 def _line_search(dens: Density, V: np.ndarray, M0: float, per: float, dhat: np.ndarray,
-                 step0: float, ok, project, functional
+                 step0: float, chord, ok, project, functional
                  ) -> tuple[np.ndarray, float, float, float]:
     """Backtracking move along dhat (unit max-displacement) with mass re-projection.
+
+    Each trial is projected with chord, the (normals, mass slope) pair of
+    the iterate (see _project; None projects by Newton steps).
 
     Returns (V, functional, step, memory): step is the accepted step
     length, or 0.0 (and the input V, per) when no trial was accepted.
@@ -435,7 +458,7 @@ def _line_search(dens: Density, V: np.ndarray, M0: float, per: float, dhat: np.n
         Vt = V + t * dhat
         if ok(Vt):
             try:
-                Vt = project(dens, Vt, M0)
+                Vt = project(dens, Vt, M0, chord)
             except NumericError:
                 t *= 0.5
                 continue
@@ -461,7 +484,7 @@ def _rigid_shift(d: np.ndarray, free: tuple[float, float]):
 
 
 def _descend(dens: Density, V: np.ndarray, M0: float, per: float, step0: float,
-             steps: list[float], functional_grad, mass_grad, smooth, pin, free,
+             steps: list[float], functional_grad, mass_grad, normals, smooth, pin, free,
              search) -> tuple[np.ndarray, float, bool]:
     """One projected-descent iteration; returns (V, functional, accepted).
 
@@ -477,12 +500,18 @@ def _descend(dens: Density, V: np.ndarray, M0: float, per: float, step0: float,
 
     steps holds the memory of the three searches (see _line_search; 0.0
     for none); each search starts near its entry (see _first_trial) and
-    the list is updated in place.
+    the list is updated in place.  The searches project their trials
+    with the iterate's normals and mass slope (see _project).
     """
     gP = pin(functional_grad(dens, V)[1])
     gM = pin(mass_grad(dens, V)[1])
+    N = normals(V)
+    chord = (N, float((gM * N).sum()))
+    # the inner products take copies scaled by exact powers of two: at
+    # huge masses |gM| passes 1e154 and its square overflows
+    gP, gM = (np.ldexp(g, -np.frexp(np.abs(g).max())[1]) for g in (gP, gM))
     gM2 = float((gM * gM).sum())
-    if not gM2 > 0.0:  # underflows for curves of tiny extent
+    if not gM2 > 0.0:  # the whole gradient underflowed
         raise NumericError("mass gradient vanished")
     lam = float((gP * gM).sum() / gM2)
     d = -gP + lam * gM
@@ -492,7 +521,7 @@ def _descend(dens: Density, V: np.ndarray, M0: float, per: float, step0: float,
     for k, dhat in enumerate((_unit(ds), _unit(d), _rigid_shift(d, free))):
         if dhat is not None:
             V, per, step, steps[k] = search(dens, V, M0, per, dhat,
-                                            _first_trial(step0, steps[k]))
+                                            _first_trial(step0, steps[k]), chord)
             moved = moved or step > 0.0
     return V, per, moved
 
@@ -550,10 +579,10 @@ def _drive(dens: Density, V: np.ndarray, M0: float, max_iters: int, tol: float,
     return V, per, M, iterations, bool(converged)
 
 
-def _try_direction(dens: Density, V: np.ndarray, M0: float, per: float,
-                   dhat: np.ndarray, step0: float) -> tuple[np.ndarray, float, float, float]:
+def _try_direction(dens: Density, V: np.ndarray, M0: float, per: float, dhat: np.ndarray,
+                   step0: float, chord) -> tuple[np.ndarray, float, float, float]:
     """Line search for a closed polygon, which must stay star-shaped."""
-    return _line_search(dens, V, M0, per, dhat, step0,
+    return _line_search(dens, V, M0, per, dhat, step0, chord,
                         lambda Vt: _star_ok(Vt, Vt.mean(axis=0)), _project_mass, _perimeter)
 
 
@@ -561,7 +590,7 @@ def descent_step(dens: Density, V: np.ndarray, M0: float, per: float,
                  step0: float, steps: list[float]) -> tuple[np.ndarray, float, bool]:
     """One projected-descent iteration of a closed polygon (see _descend)."""
     return _descend(dens, V, M0, per, step0, steps, _perimeter_grad, _mass_grad,
-                    _smooth_closed, lambda g: g, (1.0, 1.0), _try_direction)
+                    _vertex_normals, _smooth_closed, lambda g: g, (1.0, 1.0), _try_direction)
 
 
 def evolve_2d(dens: Density, M0: float, n: int = 256, max_iters: int = 4000,
@@ -714,9 +743,9 @@ def _profile_ok(W: np.ndarray) -> bool:
     return _star_ok(W, W.mean(axis=0))
 
 
-def _project_mass_rev(dens: Density, W: np.ndarray, M0: float) -> np.ndarray:
+def _project_mass_rev(dens: Density, W: np.ndarray, M0: float, chord=None) -> np.ndarray:
     """Mass projection of a profile; the pole normals keep the poles on the axis."""
-    return _project(dens, W, M0, _rev_mass, _rev_mass_grad, _profile_normals)
+    return _project(dens, W, M0, _rev_mass, _rev_mass_grad, _profile_normals, chord)
 
 
 def _resample_profile(W: np.ndarray) -> np.ndarray:
@@ -733,18 +762,18 @@ def _resample_profile(W: np.ndarray) -> np.ndarray:
 
 
 def _try_direction_rev(dens: Density, W: np.ndarray, M0: float, area: float,
-                       dhat: np.ndarray, step0: float
+                       dhat: np.ndarray, step0: float, chord
                        ) -> tuple[np.ndarray, float, float, float]:
     """Line search for a profile; dhat must keep the poles' y at zero, as _descend's do."""
-    return _line_search(dens, W, M0, area, dhat, step0, _profile_ok, _project_mass_rev,
-                        _rev_area)
+    return _line_search(dens, W, M0, area, dhat, step0, chord, _profile_ok,
+                        _project_mass_rev, _rev_area)
 
 
 def _rev_step(dens: Density, W: np.ndarray, M0: float, area: float,
               step0: float, steps: list[float]) -> tuple[np.ndarray, float, bool]:
     """One projected-descent iteration of a profile (see _descend)."""
     return _descend(dens, W, M0, area, step0, steps, _rev_area_grad, _rev_mass_grad,
-                    _smooth_open, _pin_poles, (1.0, 0.0), _try_direction_rev)
+                    _profile_normals, _smooth_open, _pin_poles, (1.0, 0.0), _try_direction_rev)
 
 
 def evolve_3d_axisym(dens: Density, M0: float, n: int = 129, max_iters: int = 4000,

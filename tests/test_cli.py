@@ -539,14 +539,22 @@ def test_evolve_unwritable_out_prints_no_record(capsys):
 
 
 @pytest.mark.uncertified_start
-def test_evolve_3d_tiny_mass_is_numeric_failure(capsys):
-    # the ball solves, but the profile's mass gradient underflows; at unit
-    # mass the offset is 2.7e170, past what the spectral solve resolves
+def test_evolve_3d_tiny_mass_returns_the_centred_sphere(capsys):
+    # at unit mass the offset is 2.7e170, past what the spectral solve
+    # resolves, so the descent starts from the sphere; the density is then
+    # the constant offset, whose optimum is any ball.  The descent's inner
+    # products once underflowed to "mass gradient vanished" here.
+    from isodense import Density, Dimension, symmetric_ball
     code, out, err = run_cli(capsys, "evolve", "--dim", "3", "--p", "4", "--a", "0.1",
                              "--mass", "1e-300", "--vertices", "33")
-    assert code == 2
-    assert out == ""
-    assert "numeric failure" in err
+    assert code == 0 and err == ""
+    rec = json.loads(out)
+    ball = symmetric_ball(Density(4, 0.1), Dimension(3), 1e-300)
+    assert rec["converged"]
+    assert abs(rec["weighted_mass"] / 1e-300 - 1.0) <= 1e-8
+    # the 33-point profile's area lies 4e-4 above the sphere's
+    assert 0.0 <= rec["weighted_perimeter"] / ball.perimeter - 1.0 <= 1e-3
+    assert abs(rec["radius_estimate"] / ball.radius - 1.0) <= 5e-3
 
 
 def test_verify_unknown_suite(capsys):

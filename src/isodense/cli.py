@@ -54,9 +54,6 @@ from .spectral import spectral_2d, spectral_3d_axisym
 
 __all__ = ["main"]
 
-VERIFY_SUITES = ("oracle1d", "branch-continuity", "reduction", "radial-quadrature",
-                 "evolver-p2", "spectral")
-
 # Converged spectral optima at p = 4, a = 0.1, M = 1 (node counts 33-65 in 2D
 # and 12-32 in 3D agree to 1e-12); the polygon evolver sits below both.
 SPECTRAL_P4_REFERENCES = {2: 5.012386458629, 3: 6.54363266353}
@@ -166,7 +163,10 @@ def _cmd_solve(args) -> int:
     Density(args.p, args.a)  # validates p > 0, a >= 0
     sol = _dispatch(args.dim, args.p, [args.a], args.mass, args.force_numeric)[0]
     record = _solution_record(args.dim, args.p, args.a, args.mass, sol)
-    if args.dim > 1 and args.p != 2.0 and args.p > 1.0:
+    if args.dim > 1 and args.p <= 1.0:
+        # (log rho)'' < 0 at every radius: the centred ball is never optimal
+        record["note"] = "for p <= 1 the centred ball is never optimal; use the evolve command"
+    elif args.dim > 1 and args.p != 2.0:
         a_crit = critical_offset(args.p, Dimension(args.dim), args.mass)
         if args.a < a_crit:
             record["note"] = ("centred branch only: below the critical offset "
@@ -359,24 +359,19 @@ def _verify_spectral(failures: list) -> None:
                failures)
 
 
+_VERIFIERS = {"oracle1d": _verify_oracle1d, "branch-continuity": _verify_branch_continuity,
+              "reduction": _verify_reduction, "radial-quadrature": _verify_radial_quadrature,
+              "evolver-p2": _verify_evolver_p2, "spectral": _verify_spectral}
+VERIFY_SUITES = tuple(_VERIFIERS)
+
+
 def _cmd_verify(args) -> int:
     failures: list = []
     suite = args.suite
     if suite not in VERIFY_SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {VERIFY_SUITES}")
     print(f"suite {suite}:")
-    if suite == "oracle1d":
-        _verify_oracle1d(failures)
-    elif suite == "branch-continuity":
-        _verify_branch_continuity(failures)
-    elif suite == "reduction":
-        _verify_reduction(failures)
-    elif suite == "radial-quadrature":
-        _verify_radial_quadrature(failures)
-    elif suite == "evolver-p2":
-        _verify_evolver_p2(failures)
-    elif suite == "spectral":
-        _verify_spectral(failures)
+    _VERIFIERS[suite](failures)
     if failures:
         print(f"{len(failures)} check(s) failed")
         return 2

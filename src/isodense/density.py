@@ -38,6 +38,7 @@ __all__ = [
 
 _K_D = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 MASS_RTOL = 1e-12  # relative mass residual every returned solution meets
+_TINY = np.finfo(float).tiny  # the smallest normal float
 _NEWTON_CAP = 100  # Newton steps allowed per inverse; from its start it needs under ten
 
 
@@ -122,17 +123,23 @@ class Density:
 def radial_mass_inverse(p: float, a, m, d: int = 1) -> np.ndarray:
     """R >= 0 with G_d(R) = R**(p+d)/(p+d) + a*R**d/d = m, elementwise over arrays a and m >= 0.
 
-    Newton starts above the root, at min((m*(p+d))**(1/(p+d)), (m*d/a)**(1/d));
-    G_d is convex and increasing on R >= 0, so the iterates fall
-    monotonically.  An element freezes at the first step that does not
-    lower it (that step repeats on every later pass), within rounding of
-    its root.  Raises NumericError if some element is still falling after
+    Newton starts above the root, at min((m*(p+d))**(1/(p+d)), (m*d/a)**(1/d)),
+    the latter formed as (m*d)**(1/d) / a**(1/d) where m*d/a falls below
+    the normal range; G_d is convex and increasing on R >= 0, so the
+    iterates fall monotonically.  An element freezes at the first step
+    that does not lower it (that step repeats on every later pass), within
+    rounding of its root.  Raises NumericError if some element is still falling after
     _NEWTON_CAP steps.
     """
     m = np.asarray(m, dtype=float)
     a_d = a / d
     with np.errstate(all="ignore"):  # m*d/a is inf or nan at a = 0; fmin drops either
-        R = np.fmin((m * (p + d)) ** (1.0 / (p + d)), (m * d / a) ** (1.0 / d))
+        q = m * d / a
+        low = q < _TINY  # a tiny mass over a huge offset: q underflows, its d-th root need not
+        q = q ** (1.0 / d)
+        if low.any():
+            q = np.where(low, (m * d) ** (1.0 / d) / a ** (1.0 / d), q)
+        R = np.fmin((m * (p + d)) ** (1.0 / (p + d)), q)
         for _ in range(_NEWTON_CAP):
             Rp = R ** p
             # (G_d - m) / G_d' with R**(d-1) divided out of G_d' = R**(d-1) * (R**p + a)

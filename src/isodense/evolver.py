@@ -19,6 +19,14 @@ gradients: perimeter by edge midpoints, mass by fanning signed triangles
 from the origin with a tensor Gauss-Legendre rule (7 radial x 4 angular
 nodes per triangle), so the fan works even when the region does not
 contain the origin.
+
+One set of kernels serves both states, a polyline whose dimension d
+picks its edges (a closed loop in 2D, an open pole-to-pole profile in
+3D) and its revolution weight (1 in 2D, 2*pi*y in 3D).  The revolved
+functionals are the planar ones with that weight: the radial factor of
+the fan is the integral of u**(p+1) in 2D and of u**(p+2) in 3D.
+Per-state names (_perimeter, _rev_area, ...) bind the kernels to a
+dimension; the driver looks them up by name when it runs.
 """
 
 from __future__ import annotations
@@ -58,15 +66,9 @@ _WU7 = 0.5 * _W7
 
 
 @functools.cache
-def _radial_factor(p: float) -> float:
-    # integral of u**(p+1) over [0,1]; exact 1/(p+2) for the polynomial cases
-    return float(np.sum(_WU7 * _U7 ** (p + 1.0)))
-
-
-@functools.cache
-def _radial_factor_rev(p: float) -> float:
-    # integral of u**(p+2) over [0,1], for surfaces of revolution
-    return float(np.sum(_WU7 * _U7 ** (p + 2.0)))
+def _radial_factor(q: float) -> float:
+    # integral of u**q over [0,1], q = p + d - 1; exact 1/(q+1) for the polynomial cases
+    return float(np.sum(_WU7 * _U7 ** q))
 
 
 def _next(X: np.ndarray) -> np.ndarray:
@@ -120,10 +122,10 @@ class PolyCurve:
 
     def _validate(self):
         V = self._V
-        E = _next(V) - V
+        E = _edges(V, 2)
         if np.min(np.hypot(E[:, 0], E[:, 1])) <= 0.0:
             raise ValueError("curve has a zero-length edge")
-        if _signed_area(V) <= 0.0:
+        if self.unweighted_area() <= 0.0:
             raise ValueError("vertices must be ordered counterclockwise")
         if not _star_ok(V, V.mean(axis=0)):
             raise ValueError("curve is not star-shaped about its centroid")
@@ -147,84 +149,132 @@ class PolyCurve:
         return self._V.mean(axis=0)
 
     def unweighted_perimeter(self) -> float:
-        E = _next(self._V) - self._V
+        E = _edges(self._V, 2)
         return float(np.sum(np.hypot(E[:, 0], E[:, 1])))
 
     def unweighted_area(self) -> float:
-        return _signed_area(self._V)
+        Vn = _next(self._V)
+        return _volume(self._V, Vn, _cross(self._V, Vn), 2)
 
 
-def _signed_area(V: np.ndarray) -> float:
-    Vn = _next(V)
-    return 0.5 * float(np.sum(V[:, 0] * Vn[:, 1] - V[:, 1] * Vn[:, 0]))
+def _ends(V: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end rows of every edge: a closed loop in 2D, an open profile in 3D."""
+    return (V, _next(V)) if d == 2 else (V[:-1], V[1:])
 
 
-def _perimeter(dens: Density, V: np.ndarray) -> float:
-    Vn = _next(V)
-    E = Vn - V
-    L = np.hypot(E[:, 0], E[:, 1])
-    mid = 0.5 * (V + Vn)
+def _edges(V: np.ndarray, d: int) -> np.ndarray:
+    A, B = _ends(V, d)
+    return B - A
+
+
+def _gather(at_start: np.ndarray, at_end: np.ndarray, d: int) -> np.ndarray:
+    """Sum rows held per edge onto the vertices each edge starts and ends at."""
+    if d == 2:
+        return at_start + _prev(at_end)
+    G = np.zeros((len(at_start) + 1, 2))
+    G[:-1] += at_start
+    G[1:] += at_end
+    return G
+
+
+_EY = np.array([0.0, 1.0])
+
+
+def _revolution(X: np.ndarray, d: int):
+    """(w, grad w, c) at points X: the weight c*w is 1 in 2D, 2*pi*y about the x-axis in 3D."""
+    if d == 2:
+        return 1.0, 0.0, 1.0
+    return X[..., 1], _EY, _TWO_PI
+
+
+def _functional(dens: Density, V: np.ndarray, d: int) -> float:
+    """Weighted perimeter (2D) or surface area (3D): edge lengths times c*w*rho at midpoints."""
+    A, B = _ends(V, d)
+    E = B - A
+    mid = 0.5 * (A + B)
+    w, _, c = _revolution(mid, d)
     rm = np.hypot(mid[:, 0], mid[:, 1])
-    return float((L * (rm ** dens.p + dens.a)).sum())
+    return c * float((w * np.hypot(E[:, 0], E[:, 1]) * (rm ** dens.p + dens.a)).sum())
 
 
-def _perimeter_grad(dens: Density, V: np.ndarray) -> tuple[float, np.ndarray]:
+def _functional_grad(dens: Density, V: np.ndarray, d: int) -> tuple[float, np.ndarray]:
     p, a = dens.p, dens.a
-    Vn = _next(V)
-    E = Vn - V
+    A, B = _ends(V, d)
+    E = B - A
     L = np.hypot(E[:, 0], E[:, 1])
-    mid = 0.5 * (V + Vn)
+    mid = 0.5 * (A + B)
+    w, dw, c = _revolution(mid, d)
     rm = np.maximum(np.hypot(mid[:, 0], mid[:, 1]), 1e-300)
     rho = rm ** p + a
-    per = float((L * rho).sum())
-    ehat = E / L[:, None]
-    # d(rho(rm))/d(mid) pulled back to the two edge vertices (factor 1/2 each)
-    radial = (0.5 * L * p * rm ** (p - 2.0))[:, None] * mid
-    g_start = -rho[:, None] * ehat + radial
-    g_end = rho[:, None] * ehat + radial
-    return per, g_start + _prev(g_end)
+    value = c * float((w * L * rho).sum())
+    along = (w * rho)[:, None] * (E / L[:, None])
+    # d(w rho(rm))/d(mid) pulled back to the two edge vertices (factor 1/2 each)
+    radial = (0.5 * w * L * p * rm ** (p - 2.0))[:, None] * mid
+    lift = (0.5 * L * rho)[:, None] * dw
+    return value, c * _gather(-along + radial + lift, along + radial + lift, d)
 
 
-def _mass(dens: Density, V: np.ndarray) -> float:
-    p, a = dens.p, dens.a
-    Vn = _next(V)
-    cross = V[:, 0] * Vn[:, 1] - V[:, 1] * Vn[:, 0]
-    P = V[None, :, :] + _T4[:, None, None] * (Vn - V)[None, :, :]
+def _cross(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Twice the signed area of each fan triangle (0, A, B)."""
+    return A[:, 0] * B[:, 1] - A[:, 1] * B[:, 0]
+
+
+def _volume(A: np.ndarray, B: np.ndarray, cross: np.ndarray, d: int) -> float:
+    """Signed area (2D) or volume (3D) of the fan: the sum of c*cross*(w_A + w_B)/(2d)."""
+    wA, _, c = _revolution(A, d)
+    return c / (2 * d) * float((cross * (wA + _revolution(B, d)[0])).sum())
+
+
+def _fan_mass(dens: Density, V: np.ndarray, d: int) -> float:
+    """Weighted mass: a times the fan's area or volume plus the fan integral of c*w*r**p."""
+    p = dens.p
+    A, B = _ends(V, d)
+    cross = _cross(A, B)
+    P = A[None, :, :] + _T4[:, None, None] * (B - A)[None, :, :]
+    w, _, c = _revolution(P, d)
     Rn = np.hypot(P[:, :, 0], P[:, :, 1])
-    S = np.einsum("j,jn->n", _WT4, Rn ** p)
-    return a * 0.5 * float(cross.sum()) + _radial_factor(p) * float((cross * S).sum())
+    S = np.einsum("j,jn->n", _WT4, w * Rn ** p)
+    return dens.a * _volume(A, B, cross, d) + c * _radial_factor(p + (d - 1)) * float(
+        (cross * S).sum())
 
 
-def _mass_grad(dens: Density, V: np.ndarray) -> tuple[float, np.ndarray]:
-    p, a = dens.p, dens.a
-    Vn = _next(V)
-    cross = V[:, 0] * Vn[:, 1] - V[:, 1] * Vn[:, 0]
-    E = Vn - V
-    P = V[None, :, :] + _T4[:, None, None] * E[None, :, :]
+def _fan_mass_grad(dens: Density, V: np.ndarray, d: int) -> tuple[float, np.ndarray]:
+    """(mass, gradient): the mass agrees with _fan_mass to rounding."""
+    p = dens.p
+    A, B = _ends(V, d)
+    P = A[None, :, :] + _T4[:, None, None] * (B - A)[None, :, :]
+    cross = _cross(A, B)
+    w, dw, c = _revolution(P, d)
     Rn = np.maximum(np.hypot(P[:, :, 0], P[:, :, 1]), 1e-300)
     Rp = Rn ** p
-    S = np.einsum("j,jn->n", _WT4, Rp)
-    cp = _radial_factor(p)
-    mass = a * 0.5 * float(cross.sum()) + cp * float((cross * S).sum())
+    # the fan integrand w*(cp |P|^p + ca), the uniform part a*w integrated exactly by
+    # the same nodes (its radial factor is 1/d), and its gradient in P
+    cp, ca = c * _radial_factor(p + (d - 1)), c * dens.a / d
+    f = cp * Rp + ca
+    S = np.einsum("j,jn->n", _WT4, w * f)
+    grad_f = (cp * p * w * Rn ** (p - 2.0))[:, :, None] * P + f[:, :, None] * dw
+    # each vertex's share of the nodes on the edges it starts and ends
+    T0 = np.einsum("j,jnk->nk", _WT4 * (1.0 - _T4), grad_f)
+    T1 = np.einsum("j,jnk->nk", _WT4 * _T4, grad_f)
+    return float((cross * S).sum()), _gather(S[:, None] * _perp(B) + cross[:, None] * T0,
+                                             cross[:, None] * T1 - S[:, None] * _perp(A), d)
 
-    # gradient of the shoelace area
-    gA = 0.5 * _perp(Vn - _prev(V))
-    # d|P|^p / dP = p |P|^(p-2) P, weighted by the node shares of each vertex
-    core = p * Rn ** (p - 2.0)
-    T0 = np.einsum("j,jn,jnk->nk", _WT4 * (1.0 - _T4), core, P)
-    T1 = np.einsum("j,jn,jnk->nk", _WT4 * _T4, core, P)
-    d_cross_start = _perp(Vn)
-    d_cross_end = -_perp(V)
-    term_start = S[:, None] * d_cross_start + cross[:, None] * T0
-    term_end = S[:, None] * d_cross_end + cross[:, None] * T1
-    G = a * gA + cp * (term_start + _prev(term_end))
-    return mass, G
+
+# The per-state kernels, looked up by name when the driver runs.
+_perimeter = functools.partial(_functional, d=2)
+_perimeter_grad = functools.partial(_functional_grad, d=2)
+_mass = functools.partial(_fan_mass, d=2)
+_mass_grad = functools.partial(_fan_mass_grad, d=2)
+_rev_area = functools.partial(_functional, d=3)
+_rev_area_grad = functools.partial(_functional_grad, d=3)
+_rev_mass = functools.partial(_fan_mass, d=3)
+_rev_mass_grad = functools.partial(_fan_mass_grad, d=3)
 
 
 def weighted_perimeter_2d(dens: Density, curve: PolyCurve) -> float:
     """Weighted perimeter: sum of edge lengths times the density at edge midpoints."""
     V = curve.vertices
-    E = _next(V) - V
+    E = _edges(V, 2)
     if np.min(np.hypot(E[:, 0], E[:, 1])) <= 0.0:
         raise ValueError("curve has a zero-length edge")
     return _perimeter(dens, V)
@@ -253,34 +303,34 @@ def mass_gradient_2d(dens: Density, curve: PolyCurve) -> np.ndarray:
     return _mass_grad(dens, curve.vertices)[1]
 
 
-def _smooth_closed(d: np.ndarray, k0: float = 4.0) -> np.ndarray:
+def _smooth(field: np.ndarray, d: int, k0: float = 4.0) -> np.ndarray:
     """Sobolev-precondition a vertex field: damp mode k by 1/(1 + (k/k0)**2).
 
     Vertex-wise descent directions are dominated by mesh-frequency
     components that cap the accepted step length; damping them makes the
     convergence rate independent of the resolution without changing the
-    stationary points.
+    stationary points.  An open profile's field is smoothed through its
+    even (Neumann) extension.
     """
-    n = len(d)
-    spec = np.fft.rfft(d, axis=0)
+    ext = field if d == 2 else np.vstack([field, field[-2:0:-1]])
+    n = len(ext)
+    spec = np.fft.rfft(ext, axis=0)
     k = np.arange(spec.shape[0])
     mult = 1.0 / (1.0 + (n / (math.pi * k0)) ** 2 * np.sin(math.pi * k / n) ** 2)
-    return np.fft.irfft(spec * mult[:, None], n=n, axis=0)
+    return np.fft.irfft(spec * mult[:, None], n=n, axis=0)[: len(field)]
 
 
-def _smooth_open(d: np.ndarray, k0: float = 4.0) -> np.ndarray:
-    """Same smoother for an open polyline field, via even/Neumann extension."""
-    ext = np.vstack([d, d[-2:0:-1]])
-    return _smooth_closed(ext, k0)[: len(d)]
-
-
-def _vertex_normals(V: np.ndarray) -> np.ndarray:
-    E = _next(V) - V
+def _normals(V: np.ndarray, d: int) -> np.ndarray:
+    """Unit vertex normals: the normalized sum of the two adjacent edges' normals."""
+    E = _edges(V, d)
     L = np.maximum(np.hypot(E[:, 0], E[:, 1]), 1e-300)
     ne = _perp(E) / L[:, None]  # outward for ccw
-    nv = ne + _prev(ne)
+    nv = _gather(ne, ne, d)
     nn = np.maximum(np.hypot(nv[:, 0], nv[:, 1]), 1e-300)
     return nv / nn[:, None]
+
+
+_vertex_normals = functools.partial(_normals, d=2)
 
 
 def _project(dens: Density, V: np.ndarray, M0: float, mass, mass_grad, normals,
@@ -324,21 +374,25 @@ def _catmull_rom(P0, P1, P2, P3, t):
                   + (3.0 * P1 - P0 - 3.0 * P2 + P3) * t * t * t)
 
 
-def _resample_closed(V: np.ndarray) -> np.ndarray:
-    """Redistribute vertices uniformly in arc length (closed curve).
+def _resample(V: np.ndarray, d: int) -> np.ndarray:
+    """Redistribute vertices uniformly in arc length along the loop or the profile.
 
     Cubic (Catmull-Rom) interpolation: a piecewise-linear resampler would
     leave C0 kinks that dominate any curvature diagnostic afterwards.
     """
-    n = len(V)
-    Vc = np.vstack([V, V[:1]])
-    seg = np.hypot(np.diff(Vc[:, 0]), np.diff(Vc[:, 1]))
+    E = _edges(V, d)
+    seg = np.hypot(E[:, 0], E[:, 1])
     s = np.concatenate([[0.0], np.cumsum(seg)])
-    targets = np.linspace(0.0, s[-1], n, endpoint=False)
-    idx = np.clip(np.searchsorted(s, targets, side="right") - 1, 0, n - 1)
+    targets = np.linspace(0.0, s[-1], len(V), endpoint=d == 3)
+    idx = np.clip(np.searchsorted(s, targets, side="right") - 1, 0, len(seg) - 1)
     t = (targets - s[idx]) / seg[idx]
-    return _catmull_rom(V[(idx - 1) % n], V[idx], V[(idx + 1) % n],
-                        V[(idx + 2) % n], t)
+    # row i + 1 holds V[i]: the loop wraps around, the profile extends straight past its ends
+    ext = (np.vstack([V[-1:], V, V[:2]]) if d == 2 else
+           np.vstack([V[0] + (V[0] - V[1]), V, V[-1] + (V[-1] - V[-2])]))
+    return _catmull_rom(ext[idx], ext[idx + 1], ext[idx + 2], ext[idx + 3], t)
+
+
+_resample_closed = functools.partial(_resample, d=2)
 
 
 def _fit_circle(V: np.ndarray) -> tuple[float, float, float]:
@@ -590,7 +644,8 @@ def descent_step(dens: Density, V: np.ndarray, M0: float, per: float,
                  step0: float, steps: list[float]) -> tuple[np.ndarray, float, bool]:
     """One projected-descent iteration of a closed polygon (see _descend)."""
     return _descend(dens, V, M0, per, step0, steps, _perimeter_grad, _mass_grad,
-                    _vertex_normals, _smooth_closed, lambda g: g, (1.0, 1.0), _try_direction)
+                    _vertex_normals, functools.partial(_smooth, d=2), lambda g: g, (1.0, 1.0),
+                    _try_direction)
 
 
 def evolve_2d(dens: Density, M0: float, n: int = 256, max_iters: int = 4000,
@@ -606,31 +661,48 @@ def evolve_2d(dens: Density, M0: float, n: int = 256, max_iters: int = 4000,
     satisfied) or when no further downhill step exists at the mesh
     resolution.
     """
+    return _evolve(2, dens, M0, n, max_iters, tol)
+
+
+def _evolve(d: int, dens: Density, M0: float, n: int, max_iters: int,
+            tol: float) -> EvolveReport:
+    """Start, drive and report a run of the loop (d = 2) or the profile (d = 3)."""
     _check_run(M0, max_iters, tol)
-    if n < 64:
-        raise ValueError("need at least 64 vertices")
-    start = spectral_2d(dens, M0)
+    least, points = (64, "vertices") if d == 2 else (17, "profile points")
+    if n < least:
+        raise ValueError(f"need at least {least} {points}")
+    start = (spectral_2d if d == 2 else spectral_3d_axisym)(dens, M0)
     if start.certified:
         V = start.sample(n)
-    else:
-        R = symmetric_ball(dens, Dimension(2), M0).radius
-        V = PolyCurve.circle(R, center=(_initial_center(dens, R), 0.0), n=n).vertices
-    V, per, mass, iterations, converged = _drive(
-        dens, V, M0, max_iters, tol, _project_mass, _perimeter, _mass, descent_step,
-        lambda X: _next(X) - X, _resample_closed)
-    curve = PolyCurve(V, validate=False)
+    else:  # a circle, or a sphere's half-circle profile from pole to pole
+        R = symmetric_ball(dens, Dimension(d), M0).radius
+        theta = np.linspace(0.0, _TWO_PI / (d - 1), n, endpoint=d == 3)
+        V = np.column_stack([_initial_center(dens, R) + R * np.cos(theta), R * np.sin(theta)])
+        if d == 3:
+            _pin_poles(V)
+    project, functional, mass, step, resample = (
+        (_project_mass, _perimeter, _mass, descent_step, _resample_closed) if d == 2 else
+        (_project_mass_rev, _rev_area, _rev_mass, _rev_step, _resample_profile))
+    V, per, M, iterations, converged = _drive(dens, V, M0, max_iters, tol, project, functional,
+                                              mass, step, functools.partial(_edges, d=d),
+                                              resample)
+    A, B = _ends(V, d)
+    w, _, c = _revolution(0.5 * (A + B), d)
+    E = B - A
     cx, cy, R_fit = _fit_circle(V)
+    # in 3D the curve is the full meridional cross-section: profile plus its mirror image
+    closed = V if d == 2 else np.vstack([V, V[-2:0:-1] * [1.0, -1.0]])
     return EvolveReport(
-        final_curve=curve,
+        final_curve=PolyCurve(closed, validate=False),
         weighted_perimeter=per,
-        weighted_mass=mass,
-        unweighted_perimeter=curve.unweighted_perimeter(),
-        unweighted_area=curve.unweighted_area(),
+        weighted_mass=M,
+        unweighted_perimeter=c * float((w * np.hypot(E[:, 0], E[:, 1])).sum()),
+        unweighted_area=_volume(A, B, _cross(A, B), d),
         iterations=iterations,
         converged=converged,
-        curvature_spread=_curvature_spread(dens, V),
+        curvature_spread=_curvature_spread(dens, V) if d == 2 else math.nan,
         radius_estimate=R_fit,
-        center_offset_estimate=float(math.hypot(cx, cy)),
+        center_offset_estimate=float(math.hypot(cx, cy if d == 2 else 0.0)),
     )
 
 
@@ -639,79 +711,6 @@ def evolve_2d(dens: Density, M0: float, n: int = 256, max_iters: int = 4000,
 # The profile runs from the right pole to the left pole through y > 0.
 # ---------------------------------------------------------------------------
 
-def _rev_area(dens: Density, W: np.ndarray) -> float:
-    A, B = W[:-1], W[1:]
-    E = B - A
-    L = np.hypot(E[:, 0], E[:, 1])
-    mid = 0.5 * (A + B)
-    rm = np.hypot(mid[:, 0], mid[:, 1])
-    return _TWO_PI * float((mid[:, 1] * L * (rm ** dens.p + dens.a)).sum())
-
-
-def _rev_area_grad(dens: Density, W: np.ndarray) -> tuple[float, np.ndarray]:
-    p, a = dens.p, dens.a
-    A, B = W[:-1], W[1:]
-    E = B - A
-    L = np.hypot(E[:, 0], E[:, 1])
-    mid = 0.5 * (A + B)
-    ym = mid[:, 1]
-    rm = np.maximum(np.hypot(mid[:, 0], mid[:, 1]), 1e-300)
-    rho = rm ** p + a
-    area = _TWO_PI * float((ym * L * rho).sum())
-    ehat = E / L[:, None]
-    radial = (0.5 * ym * L * p * rm ** (p - 2.0))[:, None] * mid
-    y_term = np.column_stack([np.zeros_like(ym), 0.5 * L * rho])
-    g_start = -(ym * rho)[:, None] * ehat + radial + y_term
-    g_end = (ym * rho)[:, None] * ehat + radial + y_term
-    G = np.zeros_like(W)
-    G[:-1] += g_start
-    G[1:] += g_end
-    return area, _TWO_PI * G
-
-
-def _rev_mass(dens: Density, W: np.ndarray) -> float:
-    p, a = dens.p, dens.a
-    A, B = W[:-1], W[1:]
-    cross = A[:, 0] * B[:, 1] - A[:, 1] * B[:, 0]
-    P = A[None, :, :] + _T4[:, None, None] * (B - A)[None, :, :]
-    Rn = np.hypot(P[:, :, 0], P[:, :, 1])
-    T = np.einsum("j,jn->n", _WT4, P[:, :, 1] * Rn ** p)
-    vol = math.pi / 3.0 * float((cross * (A[:, 1] + B[:, 1])).sum())
-    return a * vol + _TWO_PI * _radial_factor_rev(p) * float((cross * T).sum())
-
-
-def _rev_mass_grad(dens: Density, W: np.ndarray) -> tuple[float, np.ndarray]:
-    p, a = dens.p, dens.a
-    A, B = W[:-1], W[1:]
-    E = B - A
-    cross = A[:, 0] * B[:, 1] - A[:, 1] * B[:, 0]
-    P = A[None, :, :] + _T4[:, None, None] * E[None, :, :]
-    Rn = np.maximum(np.hypot(P[:, :, 0], P[:, :, 1]), 1e-300)
-    Rp = Rn ** p
-    yP = P[:, :, 1]
-    T = np.einsum("j,jn->n", _WT4, yP * Rp)
-    cp = _radial_factor_rev(p)
-    vol = math.pi / 3.0 * float((cross * (A[:, 1] + B[:, 1])).sum())
-    mass = a * vol + _TWO_PI * cp * float((cross * T).sum())
-
-    core = p * yP[:, :, None] * Rn[:, :, None] ** (p - 2.0) * P
-    core[:, :, 1] += Rp
-    dT0 = np.einsum("j,jnk->nk", _WT4 * (1.0 - _T4), core)
-    dT1 = np.einsum("j,jnk->nk", _WT4 * _T4, core)
-    d_cross_start = _perp(B)
-    d_cross_end = -_perp(A)
-    ysum = A[:, 1] + B[:, 1]
-    y_unit = np.column_stack([np.zeros_like(ysum), np.ones_like(ysum)])
-    gV_start = math.pi / 3.0 * (d_cross_start * ysum[:, None] + cross[:, None] * y_unit)
-    gV_end = math.pi / 3.0 * (d_cross_end * ysum[:, None] + cross[:, None] * y_unit)
-    gM_start = _TWO_PI * cp * (d_cross_start * T[:, None] + cross[:, None] * dT0)
-    gM_end = _TWO_PI * cp * (d_cross_end * T[:, None] + cross[:, None] * dT1)
-    G = np.zeros_like(W)
-    G[:-1] += a * gV_start + gM_start
-    G[1:] += a * gV_end + gM_end
-    return mass, G
-
-
 def _pin_poles(G: np.ndarray) -> np.ndarray:
     """Zero the y components of the two poles in place: they stay on the axis."""
     G[0, 1] = G[-1, 1] = 0.0
@@ -719,14 +718,7 @@ def _pin_poles(G: np.ndarray) -> np.ndarray:
 
 
 def _profile_normals(W: np.ndarray) -> np.ndarray:
-    E = W[1:] - W[:-1]
-    L = np.maximum(np.hypot(E[:, 0], E[:, 1]), 1e-300)
-    ne = _perp(E) / L[:, None]
-    N = np.zeros_like(W)
-    N[:-1] += ne
-    N[1:] += ne
-    nn = np.maximum(np.hypot(N[:, 0], N[:, 1]), 1e-300)
-    N = N / nn[:, None]
+    N = _normals(W, 3)
     # poles move along the axis only (so offsets along N keep them on it);
     # the profile runs right pole -> left pole
     N[0] = [1.0, 0.0]
@@ -749,14 +741,8 @@ def _project_mass_rev(dens: Density, W: np.ndarray, M0: float, chord=None) -> np
 
 
 def _resample_profile(W: np.ndarray) -> np.ndarray:
-    n = len(W)
-    seg = np.hypot(np.diff(W[:, 0]), np.diff(W[:, 1]))
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    targets = np.linspace(0.0, s[-1], n)
-    idx = np.clip(np.searchsorted(s, targets, side="right") - 1, 0, n - 2)
-    t = (targets - s[idx]) / seg[idx]
-    ext = np.vstack([W[0] + (W[0] - W[1]), W, W[-1] + (W[-1] - W[-2])])
-    out = _catmull_rom(ext[idx], ext[idx + 1], ext[idx + 2], ext[idx + 3], t)
+    """Resample a profile (see _resample); the poles stay where they were."""
+    out = _resample(W, 3)
     out[0], out[-1] = W[0], W[-1]
     return _pin_poles(out)
 
@@ -773,7 +759,8 @@ def _rev_step(dens: Density, W: np.ndarray, M0: float, area: float,
               step0: float, steps: list[float]) -> tuple[np.ndarray, float, bool]:
     """One projected-descent iteration of a profile (see _descend)."""
     return _descend(dens, W, M0, area, step0, steps, _rev_area_grad, _rev_mass_grad,
-                    _profile_normals, _smooth_open, _pin_poles, (1.0, 0.0), _try_direction_rev)
+                    _profile_normals, functools.partial(_smooth, d=3), _pin_poles, (1.0, 0.0),
+                    _try_direction_rev)
 
 
 def evolve_3d_axisym(dens: Density, M0: float, n: int = 129, max_iters: int = 4000,
@@ -786,37 +773,4 @@ def evolve_3d_axisym(dens: Density, M0: float, n: int = 129, max_iters: int = 40
     sampled at n points equally spaced in arc length from pole to pole,
     or else from the displaced sphere.
     """
-    _check_run(M0, max_iters, tol)
-    if n < 17:
-        raise ValueError("need at least 17 profile points")
-    start = spectral_3d_axisym(dens, M0)
-    if start.certified:
-        W = start.sample(n)
-    else:
-        R = symmetric_ball(dens, Dimension(3), M0).radius
-        theta = np.linspace(0.0, math.pi, n)
-        W = _pin_poles(np.column_stack([_initial_center(dens, R) + R * np.cos(theta),
-                                        R * np.sin(theta)]))
-    W, area, mass, iterations, converged = _drive(
-        dens, W, M0, max_iters, tol, _project_mass_rev, _rev_area, _rev_mass, _rev_step,
-        lambda X: np.diff(X, axis=0), _resample_profile)
-    # full meridional cross-section: profile plus its mirror image
-    curve = PolyCurve(np.vstack([W, W[-2:0:-1] * [1.0, -1.0]]), validate=False)
-    cx, cy, R_fit = _fit_circle(W)
-    A, B = W[:-1], W[1:]
-    L = np.hypot((B - A)[:, 0], (B - A)[:, 1])
-    area_u = _TWO_PI * float(np.sum(0.5 * (A[:, 1] + B[:, 1]) * L))
-    cross = A[:, 0] * B[:, 1] - A[:, 1] * B[:, 0]
-    vol_u = math.pi / 3.0 * float(np.sum(cross * (A[:, 1] + B[:, 1])))
-    return EvolveReport(
-        final_curve=curve,
-        weighted_perimeter=area,
-        weighted_mass=mass,
-        unweighted_perimeter=area_u,
-        unweighted_area=vol_u,
-        iterations=iterations,
-        converged=converged,
-        curvature_spread=math.nan,
-        radius_estimate=R_fit,
-        center_offset_estimate=float(abs(cx)),
-    )
+    return _evolve(3, dens, M0, n, max_iters, tol)

@@ -243,14 +243,6 @@ def solve_symmetric(dens: Density, M0: float) -> IntervalSolution:
     return _solution(dens, beta, beta, M0, IntervalBranch.SYMMETRIC)
 
 
-def _beta_from_alpha(dens: Density, alpha_abs: float, M0: float) -> float:
-    """Right endpoint for a trial left endpoint, from the mass constraint."""
-    rest = M0 - dens.primitive(alpha_abs)
-    if rest < 0.0:
-        raise ValueError("left endpoint already exceeds the target mass")
-    return float(radial_mass_inverse(dens.p, dens.a, rest))
-
-
 def _solution(dens: Density, s: float, beta: float, M0: float,
               branch: IntervalBranch) -> IntervalSolution:
     """[-s, beta] as a solution, once it meets the mass constraint to MASS_RTOL."""

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .density import MASS_RTOL, Density, Dimension, check_mass, radial_mass_inverse
+from .density import _TINY, MASS_RTOL, Density, Dimension, check_mass, radial_mass_inverse
 from .numerics import NumericError, gauss_legendre_nodes
 
 __all__ = [
@@ -73,6 +73,17 @@ class BallSolution:
             raise ValueError("centred branch requires zero center offset")
 
 
+def _times_powers(x: np.ndarray, R: np.ndarray, k: int) -> np.ndarray:
+    """x * R**k as k products with R.
+
+    For R <= 1 every partial product lies between x and x * R**k, so none
+    underflows where R**k alone would but the result is a normal float.
+    """
+    for _ in range(k):
+        x = x * R
+    return x
+
+
 def symmetric_ball_batch(p: float, dim: Dimension, a_values, M0: float) -> list[BallSolution]:
     """Centred balls of weighted mass M0 for d in {2, 3}, one per offset.
 
@@ -95,6 +106,10 @@ def symmetric_ball_batch(p: float, dim: Dimension, a_values, M0: float) -> list[
         mass = k * R ** d * (Rp / (p + d) + a / d)
         per = k * R ** (d - 1) * (Rp + a)
         lam = -((p + d - 1) * Rp + (d - 1) * a) / (R * (Rp + a))
+        low = R ** d < _TINY
+        if low.any():  # R**d underflows, the mass need not: apply R one factor at a time
+            mass = np.where(low, k * _times_powers(Rp / (p + d) + a / d, R, d), mass)
+            per = np.where(low, k * _times_powers(Rp + a, R, d - 1), per)
     miss = ~(np.abs(mass - M0) <= MASS_RTOL * M0)
     if miss.any():
         i = int(np.argmax(miss))

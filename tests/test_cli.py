@@ -464,6 +464,41 @@ def test_solve_2d_nonquadratic_flags_centred_branch(capsys):
     code, out, _ = run_cli(capsys, "solve", "--dim", "2", "--p", "3",
                            "--a", "5", "--mass", "1")
     assert "note" not in json.loads(out)
+    # for p <= 1 (log rho)'' < 0 at every radius: the centred ball is never optimal
+    for dim in ("2", "3"):
+        for p in ("0.5", "1"):
+            code, out, _ = run_cli(capsys, "solve", "--dim", dim, "--p", p,
+                                   "--a", "5", "--mass", "1")
+            assert code == 0
+            rec = json.loads(out)
+            assert rec["branch"] == "centred"
+            assert "never optimal" in rec["note"], (dim, p)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--dim", "2", "--p", "4", "--a", "1e200", "--mass", "1e-200"],
+    ["solve", "--dim", "3", "--p", "4", "--a", "1e200", "--mass", "1e-200"],
+    ["sweep", "--dim", "3", "--p", "4", "--a-min", "0", "--a-max", "1e200", "--steps", "3",
+     "--mass", "1e-200"],
+], ids=["solve-2d", "solve-3d", "sweep-3d"])
+def test_tiny_centred_balls_at_huge_offsets_solve(capsys, argv):
+    # M*d/a underflows in the Newton start, R**d in the mass check; R does not
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    if argv[0] == "solve":
+        rec = json.loads(out)
+        assert 0.0 < rec["R"] and abs(rec["mass_residual"]) <= 1e-12 * 1e-200
+    else:
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 3 and all(0.0 < float(r[2]) for r in rows)
+
+
+def test_tiny_interval_at_huge_offset_is_numeric_failure(capsys):
+    # its endpoint, about 5e-401, lies below the float range
+    code, _, err = run_cli(capsys, "solve", "--dim", "1", "--p", "4", "--a", "1e200",
+                           "--mass", "1e-200")
+    assert code == 2
+    assert "numeric failure" in err
 
 
 def test_numeric_failure_exit_code(capsys, monkeypatch):

@@ -529,17 +529,18 @@ def test_evolve_3d_a0_sphere_touches_origin():
 
 def test_benchmark_tracer_hooks_see_both_states(monkeypatch):
     # the benchmark's per-layer counters wrap these evolver module attributes;
-    # a renamed or bypassed hook reads zero here
+    # a renamed hook, or a shared kernel called directly instead of through
+    # its per-state name, reads zero here.  Over 100 accepted steps make a
+    # resample.
     tracing = _benchmark_tracing(monkeypatch)
-    runs = (lambda: evolve_2d(Density(2.0, 0.2), 1.0, n=64, max_iters=2),
-            lambda: evolve_3d_axisym(Density(2.0, 0.1), 1.0, n=17, max_iters=2))
-    for run in runs:
+    for evolve, n in ((evolve_2d, 64), (evolve_3d_axisym, 33)):
         tracer = tracing.Tracer()
         hooks = tracing.Instrumentation(tracer)
         hooks.install()
         try:
-            run()
+            evolve(Density(2.0, 0.2), 1.0, n=n, max_iters=150)
         finally:
             hooks.remove()
-        for key in ("evolver.linesearch", "evolver.projection", "evolver.mass_grad"):
-            assert tracer.counts[key] > 0, key
+        for key in ("linesearch", "linesearch_accepted", "projection", "ls_projection_ok",
+                    "mass_grad", "perimeter_grad", "resample", "star_check", "ls_validity"):
+            assert tracer.counts["evolver." + key] > 0, (evolve.__name__, key)

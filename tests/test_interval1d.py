@@ -25,7 +25,6 @@ from isodense.numerics import NumericError, bisect, central_second_diff
 from isodense import density, interval1d
 from isodense.density import radial_mass_inverse
 from isodense.interval1d import (
-    _beta_from_alpha,
     _beta_p_lt_1_closed,
     solve_general_batch,
     solve_p_lt_1_batch,
@@ -206,7 +205,7 @@ def test_solve_general_p4_asymmetric_beats_endpoints():
     dens = Density(4, 0.2)
     sol = solve_general(dens, 1.0)
     assert sol.branch is IntervalBranch.ASYMMETRIC
-    at_origin_beta = _beta_from_alpha(dens, 0.0, 1.0)
+    at_origin_beta = float(radial_mass_inverse(dens.p, dens.a, 1.0))
     p_origin = at_origin_beta ** 4 + 2 * 0.2
     p_sym = solve_symmetric(dens, 1.0).perimeter
     assert sol.perimeter < p_origin
@@ -243,7 +242,7 @@ def test_first_order_optimality_under_constrained_perturbation():
         deltas = [1e-3] if s_opt < 1e-6 else [-1e-3, 1e-3]
         for delta in deltas:
             s = s_opt + delta
-            beta = _beta_from_alpha(dens, s, M0)
+            beta = float(radial_mass_inverse(dens.p, dens.a, M0 - dens.primitive(s)))
             per = s ** dens.p + beta ** dens.p + 2 * dens.a
             assert per >= sol.perimeter - 1e-8
 

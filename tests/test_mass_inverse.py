@@ -10,6 +10,7 @@ R(a, M) = M**(1/(p+d)) * R(a * M**(-p/(p+d)), 1).
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -55,6 +56,20 @@ def test_symmetric_ball_mass_residual(p, a, M0, dim):
     sol = symmetric_ball(Density(p, a), dim, M0)
     assert abs(_ball_mass(p, a, dim.d, sol.radius) - M0) <= RTOL * M0
     assert abs(sol.mass - M0) <= RTOL * M0
+
+
+@settings(max_examples=100, deadline=None)
+@given(exponents, st.floats(1e150, 1e300), st.floats(1e-300, 1e-150), dims)
+def test_tiny_balls_at_huge_offsets_meet_their_mass(p, a, M0, dim):
+    # M0*d/a and R**d lie below the float range though R and the mass do not;
+    # mass and perimeter are recomputed in exact rational arithmetic
+    sol = symmetric_ball(Density(p, a), dim, M0)
+    R, d, k = Fraction(sol.radius), dim.d, Fraction(dim.k_d)
+    Rp = Fraction(sol.radius ** p)  # below 1e-5, against a >= 1e150
+    mass = k * R ** d * (Rp / Fraction(p + d) + Fraction(a) / d)
+    assert abs(mass - Fraction(M0)) <= Fraction(RTOL) * Fraction(M0)
+    per = k * R ** (d - 1) * (Rp + Fraction(a))
+    assert abs(Fraction(sol.perimeter) - per) <= Fraction(RTOL) * per
 
 
 @settings(max_examples=50, deadline=None)

@@ -159,10 +159,24 @@ def _solution_record(dim: int, p: float, a: float, mass: float, sol) -> dict:
     return rec
 
 
+def _check_finite(avals, fields: dict) -> None:
+    """NumericError naming the first offset at which a field to be printed is not finite.
+
+    fields maps each name to its values, one per offset; called before
+    anything is written, so a failure leaves no partial output.
+    """
+    bad = ~np.isfinite(np.array(list(fields.values()), dtype=float))
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=0)))
+        names = ", ".join(k for k, row in zip(fields, bad) if row[i])
+        raise NumericError(f"offset a={avals[i]!r}: {names} not finite")
+
+
 def _cmd_solve(args) -> int:
     Density(args.p, args.a)  # validates p > 0, a >= 0
     sol = _dispatch(args.dim, args.p, [args.a], args.mass, args.force_numeric)[0]
     record = _solution_record(args.dim, args.p, args.a, args.mass, sol)
+    _check_finite([args.a], {k: [v] for k, v in record.items() if isinstance(v, float)})
     if args.dim > 1 and args.p <= 1.0:
         # (log rho)'' < 0 at every radius: the centred ball is never optimal
         record["note"] = "for p <= 1 the centred ball is never optimal; use the evolve command"
@@ -179,6 +193,9 @@ def _cmd_sweep(args) -> int:
     Density(args.p, 0.0)
     if args.steps < 2:
         raise ValueError("--steps must be at least 2")
+    for flag, value in (("--a-min", args.a_min), ("--a-max", args.a_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     if args.a_min > args.a_max or args.a_min < 0.0:
         raise ValueError("need 0 <= a-min <= a-max")
     avals = np.linspace(args.a_min, args.a_max, args.steps).tolist()
@@ -186,9 +203,10 @@ def _cmd_sweep(args) -> int:
     end_cols = ["alpha", "beta"] if args.dim == 1 else ["R", "r0"]
     header = ["a", "branch", *end_cols, "perimeter", "mass_residual"]
     records = [_solution_record(args.dim, args.p, a, args.mass, s) for a, s in zip(avals, sols)]
-    _write_csv(args.out, header,
-               [[rec[k] for rec in records] if k == "branch"
-                else np.array([rec[k] for rec in records], dtype=float) for k in header])
+    columns = [[rec[k] for rec in records] if k == "branch"
+               else np.array([rec[k] for rec in records], dtype=float) for k in header]
+    _check_finite(avals, {k: c for k, c in zip(header, columns) if k != "branch"})
+    _write_csv(args.out, header, columns)
     return 0
 
 

@@ -90,13 +90,25 @@ def _perp(X: np.ndarray) -> np.ndarray:
 
 
 def _star_ok(V: np.ndarray, ref: np.ndarray) -> bool:
-    """True if the closed vertex loop winds once, monotonically, about ref."""
+    """True if the closed vertex loop winds once, monotonically, about ref.
+
+    Each step about ref turns counterclockwise by less than pi exactly when
+    the cross product of consecutive rows of V - ref is positive; with all
+    steps turning so, the loop's winding number counts its crossings of the
+    positive x half-line, the steps from y < 0 to y >= 0.  The verdict is
+    that of the angle sum for every loop whose steps are not within
+    rounding of 0 or pi.
+    """
     W = V - ref
-    if np.hypot(W[:, 0], W[:, 1]).min() <= 0.0:
+    Wn = _next(W)
+    if not (_cross(W, Wn) > 0.0).all():
         return False
-    ang = np.arctan2(W[:, 1], W[:, 0])
-    steps = np.mod(_next(ang) - ang, _TWO_PI)
-    return abs(float(steps.sum()) - _TWO_PI) < 1e-9 and float(steps.max()) < math.pi
+    return int(np.count_nonzero((W[:, 1] < 0.0) & (Wn[:, 1] >= 0.0))) == 1
+
+
+def _centroid(V: np.ndarray) -> np.ndarray:
+    """V.mean(axis=0), bit for bit, without the wrapper's overhead."""
+    return np.add.reduce(V, axis=0) / len(V)
 
 
 class PolyCurve:
@@ -154,7 +166,7 @@ class PolyCurve:
 
     def unweighted_area(self) -> float:
         Vn = _next(self._V)
-        return _volume(self._V, Vn, _cross(self._V, Vn), 2)
+        return _volume(self._V[:, 1], Vn[:, 1], _cross(self._V, Vn), 2)
 
 
 def _ends(V: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -192,9 +204,11 @@ def _functional(dens: Density, V: np.ndarray, d: int) -> float:
     A, B = _ends(V, d)
     E = B - A
     mid = 0.5 * (A + B)
-    w, _, c = _revolution(mid, d)
-    rm = np.hypot(mid[:, 0], mid[:, 1])
-    return c * float((w * np.hypot(E[:, 0], E[:, 1]) * (rm ** dens.p + dens.a)).sum())
+    L = np.hypot(E[:, 0], E[:, 1])
+    rho = np.hypot(mid[:, 0], mid[:, 1]) ** dens.p + dens.a
+    if d == 2:  # the weight is 1
+        return float((L * rho).sum())
+    return _TWO_PI * float((mid[:, 1] * L * rho).sum())
 
 
 def _functional_grad(dens: Density, V: np.ndarray, d: int) -> tuple[float, np.ndarray]:
@@ -219,23 +233,35 @@ def _cross(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A[:, 0] * B[:, 1] - A[:, 1] * B[:, 0]
 
 
-def _volume(A: np.ndarray, B: np.ndarray, cross: np.ndarray, d: int) -> float:
-    """Signed area (2D) or volume (3D) of the fan: the sum of c*cross*(w_A + w_B)/(2d)."""
-    wA, _, c = _revolution(A, d)
-    return c / (2 * d) * float((cross * (wA + _revolution(B, d)[0])).sum())
+def _volume(yA: np.ndarray, yB: np.ndarray, cross: np.ndarray, d: int) -> float:
+    """Signed area (2D) or volume (3D) of the fan: the sum of c*cross*(w_A + w_B)/(2d).
+
+    yA, yB are the y coordinates of the edges' ends, which the 3D weight reads.
+    """
+    if d == 2:
+        return 0.25 * float((cross * 2.0).sum())
+    return _TWO_PI / 6 * float((cross * (yA + yB)).sum())
 
 
 def _fan_mass(dens: Density, V: np.ndarray, d: int) -> float:
-    """Weighted mass: a times the fan's area or volume plus the fan integral of c*w*r**p."""
+    """Weighted mass: a times the fan's area or volume plus the fan integral of c*w*r**p.
+
+    Every projection step calls this kernel, so it runs on coordinate
+    columns: the edge nodes are two (4, n) arrays.
+    """
     p = dens.p
-    A, B = _ends(V, d)
-    cross = _cross(A, B)
-    P = A[None, :, :] + _T4[:, None, None] * (B - A)[None, :, :]
-    w, _, c = _revolution(P, d)
-    Rn = np.hypot(P[:, :, 0], P[:, :, 1])
-    S = np.einsum("j,jn->n", _WT4, w * Rn ** p)
-    return dens.a * _volume(A, B, cross, d) + c * _radial_factor(p + (d - 1)) * float(
-        (cross * S).sum())
+    xA, xB = _ends(V[:, 0], d)
+    yA, yB = _ends(V[:, 1], d)
+    cross = xA * yB - yA * xB
+    Px = xA + _T4[:, None] * (xB - xA)
+    Py = yA + _T4[:, None] * (yB - yA)
+    f = np.hypot(Px, Py) ** p
+    fan = _radial_factor(p + (d - 1))
+    if d == 3:  # the weight 2*pi*y
+        f = Py * f
+        fan = _TWO_PI * fan
+    S = np.einsum("j,jn->n", _WT4, f)
+    return dens.a * _volume(yA, yB, cross, d) + fan * float((cross * S).sum())
 
 
 def _fan_mass_grad(dens: Density, V: np.ndarray, d: int) -> tuple[float, np.ndarray]:
@@ -315,9 +341,16 @@ def _smooth(field: np.ndarray, d: int, k0: float = 4.0) -> np.ndarray:
     ext = field if d == 2 else np.vstack([field, field[-2:0:-1]])
     n = len(ext)
     spec = np.fft.rfft(ext, axis=0)
-    k = np.arange(spec.shape[0])
+    return np.fft.irfft(spec * _sobolev(n, k0)[:, None], n=n, axis=0)[: len(field)]
+
+
+@functools.cache
+def _sobolev(n: int, k0: float) -> np.ndarray:
+    """_smooth's multiplier of the rfft modes k = 0 .. n // 2 of an n-point field."""
+    k = np.arange(n // 2 + 1)
     mult = 1.0 / (1.0 + (n / (math.pi * k0)) ** 2 * np.sin(math.pi * k / n) ** 2)
-    return np.fft.irfft(spec * mult[:, None], n=n, axis=0)[: len(field)]
+    mult.flags.writeable = False
+    return mult
 
 
 def _normals(V: np.ndarray, d: int) -> np.ndarray:
@@ -343,6 +376,7 @@ def _project(dens: Density, V: np.ndarray, M0: float, mass, mass_grad, normals,
     without one, when its slope is not positive, and from the first chord
     step that does not shrink the residual on, each offset is a Newton
     step along the state's own normals with a fresh mass gradient.
+    A V whose mass is already within tolerance is returned itself.
     """
     N, slope = chord if chord is not None else (None, 0.0)
     newton = not slope > 0.0
@@ -495,7 +529,11 @@ def _line_search(dens: Density, V: np.ndarray, M0: float, per: float, dhat: np.n
     """Backtracking move along dhat (unit max-displacement) with mass re-projection.
 
     Each trial is projected with chord, the (normals, mass slope) pair of
-    the iterate (see _project; None projects by Newton steps).
+    the iterate (see _project; None projects by Newton steps), and is
+    accepted when the projection succeeds, the functional does not rise
+    and ok holds both before and after the projection.  The cheap
+    functional test runs first and the validity tests only on trials that
+    pass it; a projection that returns its input unchanged is tested once.
 
     Returns (V, functional, step, memory): step is the accepted step
     length, or 0.0 (and the input V, per) when no trial was accepted.
@@ -510,16 +548,14 @@ def _line_search(dens: Density, V: np.ndarray, M0: float, per: float, dhat: np.n
     t = step0
     while t > floor:
         Vt = V + t * dhat
-        if ok(Vt):
-            try:
-                Vt = project(dens, Vt, M0, chord)
-            except NumericError:
-                t *= 0.5
-                continue
-            if ok(Vt):
-                pt = functional(dens, Vt)
-                if pt <= per:
-                    return Vt, pt, t, t
+        try:
+            Vp = project(dens, Vt, M0, chord)
+        except NumericError:
+            t *= 0.5
+            continue
+        pt = functional(dens, Vp)
+        if pt <= per and ok(Vt) and (Vp is Vt or ok(Vp)):
+            return Vp, pt, t, t
         t *= 0.5
     return V, per, 0.0, min(2.0 * t, step0)
 
@@ -637,7 +673,7 @@ def _try_direction(dens: Density, V: np.ndarray, M0: float, per: float, dhat: np
                    step0: float, chord) -> tuple[np.ndarray, float, float, float]:
     """Line search for a closed polygon, which must stay star-shaped."""
     return _line_search(dens, V, M0, per, dhat, step0, chord,
-                        lambda Vt: _star_ok(Vt, Vt.mean(axis=0)), _project_mass, _perimeter)
+                        lambda Vt: _star_ok(Vt, _centroid(Vt)), _project_mass, _perimeter)
 
 
 def descent_step(dens: Density, V: np.ndarray, M0: float, per: float,
@@ -697,7 +733,7 @@ def _evolve(d: int, dens: Density, M0: float, n: int, max_iters: int,
         weighted_perimeter=per,
         weighted_mass=M,
         unweighted_perimeter=c * float((w * np.hypot(E[:, 0], E[:, 1])).sum()),
-        unweighted_area=_volume(A, B, _cross(A, B), d),
+        unweighted_area=_volume(A[:, 1], B[:, 1], _cross(A, B), d),
         iterations=iterations,
         converged=converged,
         curvature_spread=_curvature_spread(dens, V) if d == 2 else math.nan,
@@ -732,7 +768,7 @@ def _profile_ok(W: np.ndarray) -> bool:
     if W[0, 0] <= W[-1, 0]:
         return False
     # closing the profile back along the axis must give a star-shaped loop
-    return _star_ok(W, W.mean(axis=0))
+    return _star_ok(W, _centroid(W))
 
 
 def _project_mass_rev(dens: Density, W: np.ndarray, M0: float, chord=None) -> np.ndarray:

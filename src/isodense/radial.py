@@ -105,7 +105,8 @@ def symmetric_ball_batch(p: float, dim: Dimension, a_values, M0: float) -> list[
         Rp = R ** p
         mass = k * R ** d * (Rp / (p + d) + a / d)
         per = k * R ** (d - 1) * (Rp + a)
-        lam = -((p + d - 1) * Rp + (d - 1) * a) / (R * (Rp + a))
+        # each term over Rp + a before the sum: (d - 1) * a alone overflows past ~9e307
+        lam = -((p + d - 1) * (Rp / (Rp + a)) + (d - 1) * (a / (Rp + a))) / R
         low = R ** d < _TINY
         if low.any():  # R**d underflows, the mass need not: apply R one factor at a time
             mass = np.where(low, k * _times_powers(Rp / (p + d) + a / d, R, d), mass)

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -601,3 +605,59 @@ def test_verify_unknown_suite(capsys):
 def test_usage_error_exit_code(capsys):
     code, _, _ = run_cli(capsys, "solve", "--dim", "7", "--p", "2", "--a", "0")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--dim", "1", "--p", "4", "--a", "1e308"],
+    ["solve", "--dim", "1", "--p", "0.5", "--a", "1e308"],
+    ["sweep", "--dim", "1", "--p", "4", "--a-min", "0", "--a-max", "1e308", "--steps", "3"],
+], ids=" ".join)
+def test_nonfinite_result_is_a_one_line_numeric_failure(tmp_path, capsys, argv):
+    # the interval's perimeter, about 2a, overflows: the solve once printed
+    # "perimeter": null and the sweep a row with inf, both with exit 0
+    out_file = tmp_path / "s.csv"
+    extra = ["--out", str(out_file)] if argv[0] == "sweep" else []
+    code, out, err = run_cli(capsys, *argv, *extra)
+    assert code == 2
+    assert out == "" and not out_file.exists()
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("numeric failure: offset a=1e+308: perimeter")
+
+
+@pytest.mark.parametrize("a", ["1e308", "1.7e308"])
+def test_3d_centred_ball_multiplier_prints_at_huge_offsets(capsys, a):
+    code, out, err = run_cli(capsys, "solve", "--dim", "3", "--p", "2", "--a", a)
+    assert code == 0, err
+    rec = json.loads(out)
+    assert rec["lagrange_multiplier"] == pytest.approx(-2.0 / rec["R"], rel=1e-11)
+
+
+@pytest.mark.parametrize("bounds, message", [
+    (["--a-min", "0", "--a-max", "inf"], "--a-max must be finite, got inf"),
+    (["--a-min=-inf", "--a-max", "1"], "--a-min must be finite, got -inf"),
+    (["--a-min", "0", "--a-max", "nan"], "--a-max must be finite, got nan"),
+], ids=["inf", "-inf", "nan"])
+def test_sweep_nonfinite_offset_bound_is_a_one_line_usage_error(capsys, bounds, message):
+    # np.linspace once warned "invalid value encountered in multiply" on
+    # stderr before the offsets' own check reported "got nan"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "sweep", "--dim", "1", "--p", "4", *bounds,
+                                 "--steps", "3")
+    assert code == 1
+    assert out == ""
+    assert [str(w.message) for w in caught] == []
+    assert err == f"error: {message}\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "isodense", "solve", "--dim", "2", "--p", "2",
+                           "--a", "1"], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["branch"] == "centred"
+    usage = subprocess.run([sys.executable, "-m", "isodense", "solve"], capture_output=True,
+                           text=True, env=env, timeout=60)
+    assert usage.returncode == 1
+    assert "usage: isodense" in usage.stderr

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from isodense import (
     Density,
@@ -255,6 +257,160 @@ def test_failed_line_search_keeps_state_and_remembers_its_smallest_trial(monkeyp
         hooks.remove()
     assert tracer.counts["evolver.linesearch"] == 2
     assert tracer.counts["evolver.linesearch_accepted"] == 0
+
+
+def _star_oracle(V, ref):
+    """The angle-sum test: steps of arctan2 about ref, each in [0, pi), summing to 2*pi."""
+    W = V - ref
+    if np.hypot(W[:, 0], W[:, 1]).min() <= 0.0:
+        return False
+    ang = np.arctan2(W[:, 1], W[:, 0])
+    steps = np.mod(np.roll(ang, -1) - ang, 2 * math.pi)
+    return abs(float(steps.sum()) - 2 * math.pi) < 1e-9 and float(steps.max()) < math.pi
+
+
+def _angular_margin(V, ref):
+    """Distance of the loop's angular steps about ref from 0 and pi (mod 2*pi)."""
+    W = V - ref
+    ang = np.arctan2(W[:, 1], W[:, 0])
+    steps = np.mod(np.roll(ang, -1) - ang, 2 * math.pi)
+    return float(np.min(np.minimum(np.minimum(steps, 2 * math.pi - steps),
+                                   np.abs(steps - math.pi))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(3, 300), seed=st.integers(0, 2 ** 32 - 1), turns=st.sampled_from([1, 2]),
+       sense=st.sampled_from([1.0, -1.0]), wobble=st.floats(0.0, 0.9),
+       offset=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
+def test_star_ok_matches_the_angle_sum(n, seed, turns, sense, wobble, offset):
+    # random star loops about random refs (inside, outside, on the other
+    # side of an edge), wound once or twice, either way round
+    rng = np.random.default_rng(seed)
+    gaps = rng.uniform(0.05, 1.0, n)
+    theta = sense * turns * 2 * math.pi * np.cumsum(gaps) / gaps.sum()
+    r = 1.0 + wobble * rng.uniform(-1.0, 1.0, n)
+    center = rng.uniform(-3.0, 3.0, 2)
+    V = center + np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+    ref = center + np.array(offset)
+    assume(_angular_margin(V, ref) > 1e-9)
+    assert ev._star_ok(V, ref) == _star_oracle(V, ref)
+
+
+def test_star_ok_named_cases():
+    theta = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
+    circle = np.column_stack([np.cos(theta), np.sin(theta)])
+    twice = np.column_stack([np.cos(2 * theta), np.sin(2 * theta)])
+    W = _wobbly_profile()  # closed along the axis from its last point to its first
+    cases = [(circle, np.zeros(2), True),
+             (circle + [5.0, 0.0], np.zeros(2), False),  # ref outside
+             (twice + [0.1, 0.2], np.array([0.1, 0.2]), False),  # wound twice
+             (circle[::-1], np.zeros(2), False),  # clockwise
+             (circle, circle[7], False),  # a vertex at ref
+             (W, W.mean(axis=0), True),
+             (W[::-1], W.mean(axis=0), False),
+             (W, np.array([0.3, -0.2]), False)]  # ref below the axis, outside the loop
+    for V, ref, expected in cases:
+        assert _star_oracle(V, ref) == expected
+        assert ev._star_ok(V, ref) == expected
+
+
+def _search_descending_trials(shift, valid_before, valid_after):
+    """_line_search on trials that all lower the functional; projection adds shift.
+
+    ok says valid_before for unprojected trials, valid_after for projected
+    ones.  Returns (V, result, the arrays ok was called on, trials made).
+    """
+    V = np.ones((16, 2))
+    checked = []
+
+    def ok(X):
+        checked.append(X)
+        return valid_after if shift and X[0, 0] >= 2.0 else valid_before
+
+    def project(dens, X, M0, chord):
+        return X + shift if shift else X
+
+    result = ev._line_search(Density(2, 0.1), V, 1.0, 10.0, np.ones((16, 2)), 0.5, None,
+                             ok, project, lambda dens, X: 0.0)
+    trials = sum(1 for k in range(100) if 0.5 * 2.0 ** -k > 1e-14)  # down to the floor
+    return V, result, checked, trials
+
+
+@pytest.mark.parametrize("valid_before, valid_after, tests_per_trial", [
+    (False, True, 1), (True, False, 2), (False, False, 1)])
+def test_line_search_rejects_descending_trials_that_fail_validity(valid_before, valid_after,
+                                                                  tests_per_trial):
+    # every trial lowers the functional; an invalid state before or after
+    # the projection rejects it, all the way down to the floor
+    V, (Y, per, step, _), checked, trials = _search_descending_trials(1.0, valid_before,
+                                                                      valid_after)
+    assert Y is V and per == 10.0 and step == 0.0
+    assert len(checked) == tests_per_trial * trials
+    V, (Y, per, step, _), checked, _ = _search_descending_trials(1.0, True, True)
+    assert np.array_equal(Y, V + 1.5) and per == 0.0 and step == 0.5 and len(checked) == 2
+
+
+@pytest.mark.parametrize("valid", [True, False])
+def test_line_search_tests_an_unmoved_projection_once(valid):
+    V, (Y, _, step, _), checked, trials = _search_descending_trials(0.0, valid, valid)
+    if valid:
+        assert step == 0.5 and len(checked) == 1 and checked[0] is Y
+    else:
+        assert Y is V and step == 0.0 and len(checked) == trials
+
+
+def _trials(events):
+    """Split a line search's events into trials, each opened by its "down"/"up" event."""
+    trials = []
+    for event in events:
+        if event == "ok":
+            trials[-1].append(event)
+        else:
+            trials.append([event])
+    return trials
+
+
+@pytest.mark.parametrize("functional, ok, search, state", [
+    ("_perimeter", "_star_ok", "_try_direction", "curve"),
+    ("_rev_area", "_profile_ok", "_try_direction_rev", "profile"),
+], ids=["2d", "3d"])
+@pytest.mark.parametrize("downhill", [True, False], ids=["downhill", "uphill"])
+def test_line_search_tests_validity_only_where_the_functional_does_not_rise(
+        monkeypatch, functional, ok, search, state, downhill):
+    dens = Density(2, 0.3)
+    if state == "curve":
+        X = _wobbly_curve(n=96, seed=4, center=(0.3, 0.0))
+        M0 = _mass(dens, X)
+        dhat = _uphill(dens, X, _perimeter_grad, _mass_grad, lambda g: g)
+    else:
+        X = _wobbly_profile()
+        M0 = _rev_mass(dens, X)
+        dhat = _uphill(dens, X, _rev_area_grad, _rev_mass_grad, ev._pin_poles)
+    assert ev._star_ok(X, X.mean(axis=0)) if state == "curve" else ev._profile_ok(X)
+    per = getattr(ev, functional)(dens, X)
+    events = []  # "down" or "up" per functional value, "ok" per validity test
+    value, valid = getattr(ev, functional), getattr(ev, ok)
+
+    def traced_value(dens, Y):
+        pt = value(dens, Y)
+        events.append("down" if pt <= per else "up")
+        return pt
+
+    def traced_valid(*args):
+        events.append("ok")
+        return valid(*args)
+
+    monkeypatch.setattr(ev, functional, traced_value)
+    monkeypatch.setattr(ev, ok, traced_valid)
+    # a first trial of a tenth of the extent overshoots even downhill
+    _, _, step, _ = getattr(ev, search)(dens, X, M0, per, -dhat if downhill else dhat, 0.1,
+                                        None)
+    trials = _trials(events)
+    assert (step > 0.0) == downhill
+    assert any(t[0] == "up" for t in trials)
+    assert all(t == ["up"] for t in trials if t[0] == "up")  # no validity test
+    if downhill:
+        assert trials[-1][0] == "down" and trials[-1][1:] in (["ok"], ["ok", "ok"])
 
 
 def test_line_search_floor_is_relative_to_the_curve(monkeypatch):

@@ -53,6 +53,29 @@ def test_symmetric_ball_mass_residual():
         assert abs(mass - M0) <= 1e-12 * M0
 
 
+def test_symmetric_ball_multiplier_matches_its_formula():
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        p = float(rng.uniform(0.3, 5.0))
+        a = float(rng.uniform(0.0, 2.0))
+        dim = Dimension(int(rng.integers(2, 4)))
+        sol = symmetric_ball(Density(p, a), dim, 1.0)
+        R, d = sol.radius, dim.d
+        lam = -((p + d - 1) * R ** p + (d - 1) * a) / (R * (R ** p + a))
+        assert sol.lagrange_multiplier == pytest.approx(lam, rel=1e-14)
+
+
+@pytest.mark.parametrize("a", [1e300, 1e308, 1.7e308])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("p", [0.5, 2.0, 4.0])
+def test_symmetric_ball_multiplier_at_huge_offsets(p, d, a):
+    # R**p vanishes beside a, so the multiplier is -(d - 1) / R; formed as
+    # written, (d - 1) * a overflowed to -inf in 3D once a passed ~9e307
+    sol = symmetric_ball(Density(p, a), Dimension(d), 1.0)
+    assert math.isfinite(sol.perimeter)
+    assert sol.lagrange_multiplier == pytest.approx(-(d - 1) / sol.radius, rel=1e-14)
+
+
 def test_symmetric_ball_rejects_dim1():
     with pytest.raises(ValueError):
         symmetric_ball(Density(2, 1), Dimension(1), 1.0)

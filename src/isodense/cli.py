@@ -36,7 +36,6 @@ from .interval1d import (
     reduce_intervals,
     solve_general,
     solve_general_batch,
-    solve_p1,
     solve_p2,
     solve_p_lt_1_batch,
 )
@@ -142,8 +141,6 @@ def _dispatch(dim: int, p: float, avals, mass: float, force_numeric: bool = Fals
         return solve_general_batch(p, avals, mass)
     if p == 2.0:
         return [solve_p2(a, mass) for a in avals]
-    if p == 1.0:
-        return [solve_p1(a, mass) for a in avals]
     return solve_p_lt_1_batch(p, avals, mass)
 
 
@@ -274,6 +271,9 @@ def _cmd_acrit(args) -> int:
         rec["critical_mass"] = critical_mass(Density(args.p, args.a), Dimension(args.dim))
     if args.mass is None and args.a is None:
         raise ValueError("provide --mass (for a_crit) and/or --a (for critical mass)")
+    bad = [k for k, v in rec.items() if not math.isfinite(v)]
+    if bad:
+        raise NumericError(f"{', '.join(bad)} not finite")
     _emit_json(rec)
     return 0
 

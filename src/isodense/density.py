@@ -181,10 +181,15 @@ def critical_mass(dens: Density, dim: Dimension) -> float:
     """Mass of the centred ball with radius equal to the log-convexity radius.
 
     Exact algebraic inverse of critical_offset: feeding the result back
-    into critical_offset returns dens.a.
+    into critical_offset returns dens.a.  Returns inf where the mass lies
+    past the float range.
     """
     p, a = dens.p, dens.a
     if p <= 1.0:
         raise ValueError("critical mass is defined only for p > 1")
     d = dim.d
-    return dim.k_d * p * (d + 1) / (d * (p + d)) * (p - 1.0) ** (d / p) * a ** ((p + d) / p)
+    try:  # a ** ((p + d) / p) raises OverflowError past the float range
+        scaled = a ** ((p + d) / p)
+    except OverflowError:
+        return math.inf
+    return dim.k_d * p * (d + 1) / (d * (p + d)) * (p - 1.0) ** (d / p) * scaled

@@ -1,13 +1,16 @@
 """Isoperimetric intervals on the real line under the density |x|**p + a.
 
-Closed-form solvers exist for p = 1/2, 1 and 2; a constrained numerical
-minimizer covers every other exponent, and an exhaustive grid oracle
-cross-checks them all.  The module also carries the multi-interval
-reduction (each half-line's mass gathered into one interval from the
-origin) and the contour-grid generator used to visualize the
-perimeter/mass landscape over the two endpoints.  Every endpoint fixed by
-a mass comes from density.radial_mass_inverse, the Newton inverse of the
-primitive.
+For 0 < p <= 1 the optimum has one end at the origin (p = 1/2 is also
+checked against its cubic closed form).  For p = 2 the translation rule
+gives it: under x**2 + a, moving an interval by c has the effect of
+raising the offset to a + c**2, so the optimum is a symmetric interval
+moved off the origin.  A constrained numerical minimizer covers every
+other exponent, and an exhaustive grid oracle cross-checks them all.
+The module also carries the multi-interval reduction (each half-line's
+mass gathered into one interval from the origin) and the contour-grid
+generator used to visualize the perimeter/mass landscape over the two
+endpoints.  Every endpoint fixed by a mass comes from
+density.radial_mass_inverse, the Newton inverse of the primitive.
 
 An interval [alpha, beta] is always reported with alpha <= 0 < beta; the
 weighted perimeter is rho(|alpha|) + rho(beta) = |alpha|**p + beta**p + 2a.
@@ -22,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .density import MASS_RTOL, Density, check_mass, radial_mass_inverse
+from .density import MASS_RTOL, Density, Dimension, check_mass, critical_offset, radial_mass_inverse
 from .numerics import NumericError
 
 # Section search: nodes per bracket, and enough passes to narrow the bracket
@@ -136,40 +139,29 @@ def _classify(alpha_abs: float, beta: float, rel_tol: float = 1e-6) -> IntervalB
 def solve_p2(a: float, M0: float) -> IntervalSolution:
     """Minimum-perimeter interval for p = 2, offset a, mass M0.
 
-    Below the critical offset (3*M0)**(2/3)/4 the optimum straddles the
-    origin with alpha*beta = -a and perimeter (3*M0)**(2/3), independent
-    of a; at a = 0 the left end degenerates to the origin.  At or above
-    the critical offset the optimum is the symmetric interval of
-    solve_symmetric.
+    For rho = x**2 + a, moving an interval by c has the effect of raising
+    the offset to a + c**2.  So at or above a_crit = critical_offset(2, d=1, M0)
+    the optimum is the symmetric interval of solve_symmetric, and below it
+    the symmetric interval [-R, R] of offset a_crit moved by
+    r0 = sqrt(a_crit - a): beta = R + r0 and alpha = -a / beta, since
+    R**2 = a_crit.  Its perimeter 4 * a_crit does not depend on a; at a = 0
+    the left end is the origin.
     """
-    check_mass(M0)
-    if a < 0.0:
-        raise ValueError("offset must be nonnegative")
-    dens = Density(2.0, a)
-    cbrt = (3.0 * M0) ** (1.0 / 3.0)
-    disc = cbrt * cbrt - 4.0 * a
-    if disc > 0.0:  # a < a_crit
-        beta = 0.5 * (math.sqrt(disc) + cbrt)
-        alpha = -a / beta
-        per = cbrt * cbrt
-        branch = IntervalBranch.AT_ORIGIN if a == 0.0 else IntervalBranch.ASYMMETRIC
-        return IntervalSolution(alpha, beta, per, branch, _multiplier(dens, beta))
-    return solve_symmetric(dens, M0)
+    dens = Density(2.0, a)  # validates a before it meets a_crit
+    a_crit = critical_offset(2.0, Dimension(1), M0)
+    if a >= a_crit:
+        return solve_symmetric(dens, M0)
+    beta = float(radial_mass_inverse(2.0, a_crit, 0.5 * M0)) + math.sqrt(a_crit - a)
+    branch = IntervalBranch.AT_ORIGIN if a == 0.0 else IntervalBranch.ASYMMETRIC
+    return _solution(dens, a / beta, beta, M0, branch)
 
 
 def solve_p1(a: float, M0: float) -> IntervalSolution:
-    """Minimum-perimeter interval for p = 1: one end at the origin.
+    """Minimum-perimeter interval for p = 1: one row of solve_p_lt_1_batch.
 
-    beta = -a + sqrt(a**2 + 2*M0) and perimeter a + sqrt(a**2 + 2*M0);
-    the symmetric regime never occurs for p = 1.
+    One end is at the origin; the symmetric regime never occurs for p = 1.
     """
-    check_mass(M0)
-    if a < 0.0:
-        raise ValueError("offset must be nonnegative")
-    root = math.sqrt(a * a + 2.0 * M0)
-    beta = root - a
-    return IntervalSolution(0.0, beta, a + root, IntervalBranch.AT_ORIGIN,
-                            _multiplier(Density(1.0, a), beta))
+    return solve_p_lt_1_batch(1.0, [a], M0)[0]
 
 
 def _beta_p_lt_1_closed(p: float, a: float, M0: float) -> Optional[float]:
@@ -203,14 +195,14 @@ def _beta_p_lt_1_closed(p: float, a: float, M0: float) -> Optional[float]:
 
 
 def solve_p_lt_1_batch(p: float, a_values, M0: float) -> list[IntervalSolution]:
-    """Minimum-perimeter intervals for 0 < p < 1, one per offset: one end at the origin.
+    """Minimum-perimeter intervals for 0 < p <= 1, one per offset: one end at the origin.
 
     beta, the root of beta**(p+1) = (p+1)*(M0 - a*beta), comes from one Newton
     primitive inverse over all offsets.  At p = 1/2 each row's cubic-in-sqrt(beta)
     closed form is also evaluated (where its discriminant permits) and must agree.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError("this solver requires 0 < p < 1")
+    if not 0.0 < p <= 1.0:
+        raise ValueError("this solver requires 0 < p <= 1")
     check_mass(M0)
     a_all = np.asarray(a_values, dtype=float).reshape(-1)
     dens = [Density(p, a) for a in a_all.tolist()]  # validates every offset
@@ -225,7 +217,7 @@ def solve_p_lt_1_batch(p: float, a_values, M0: float) -> list[IntervalSolution]:
 
 
 def solve_p_lt_1(dens: Density, M0: float) -> IntervalSolution:
-    """Minimum-perimeter interval for 0 < p < 1: one row of solve_p_lt_1_batch."""
+    """Minimum-perimeter interval for 0 < p <= 1: one row of solve_p_lt_1_batch."""
     return solve_p_lt_1_batch(dens.p, [dens.a], M0)[0]
 
 

@@ -2,12 +2,12 @@
 
 Centred balls are available for every p > 0: their radius is the root of
 the radial mass equation k_d * G_d(R) = M0 from density.radial_mass_inverse,
-for one offset or a whole sweep of them at once.  Off-centre closed forms
-exist for p = 2, where the optimal circle/sphere
-keeps a constant radius while its centre slides toward the origin as the
-offset a grows.  The density-generalized curvature diagnostic and the
-quadrature versions of the off-centre boundary/mass integrals (used to
-cross-check the closed forms) live here too.
+for one offset or a whole sweep of them at once.  The p = 2 optimum
+follows from them by the translation rule (_solve_p2_ball): a constant
+radius while its centre slides toward the origin as the offset a grows.
+The off-centre closed forms, the density-generalized curvature and the
+quadrature versions of the off-centre boundary/mass integrals (checks
+on the p = 2 solvers) live here too.
 
 Note on the centred 3D mass equation: dimensional consistency requires
 M0 = 4*pi*R**3 * (R**p/(p+3) + a/3), matching the generic
@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .density import _TINY, MASS_RTOL, Density, Dimension, check_mass, radial_mass_inverse
+from .density import (_TINY, MASS_RTOL, Density, Dimension, check_mass, critical_offset,
+                      radial_mass_inverse)
 from .numerics import NumericError, gauss_legendre_nodes
 
 __all__ = [
@@ -149,46 +150,31 @@ def offcenter_p2_3d(R: float, r0: float, a: float) -> tuple[float, float]:
     return area, mass
 
 
-def solve_2d_p2(a: float, M0: float) -> BallSolution:
-    """Optimal circle for p = 2 in the plane.
+def _solve_p2_ball(dim: Dimension, a: float, M0: float) -> BallSolution:
+    """Optimal ball for p = 2 in dimension dim, by the translation rule.
 
-    Below a_crit = sqrt(2*M0/(3*pi)) the circle straddles the origin with
-    constant radius (2*M0/(3*pi))**(1/4), centre offset sqrt(R**2 - a) and
-    perimeter 4*pi*R**3, independent of a.  Above a_crit it is the centred
-    circle of symmetric_ball, with R**2 = -a + sqrt(a**2 + 2*M0/pi).
+    For rho = |x|**2 + a, moving a ball by r0 has the effect of raising the
+    offset to a + r0**2.  At or above a_crit = critical_offset(2, dim, M0)
+    the optimum is the centred ball of symmetric_ball; below it, the
+    centred ball of offset a_crit (whose radius has R**2 = a_crit) moved by
+    r0 = sqrt(a_crit - a), with that ball's perimeter, mass and multiplier.
     """
-    check_mass(M0)
-    if a < 0.0:
-        raise ValueError("offset must be nonnegative")
-    dim = Dimension(2)
-    a_crit = math.sqrt(2.0 * M0 / (3.0 * math.pi))
-    if a <= a_crit:
-        R = (2.0 * M0 / (3.0 * math.pi)) ** 0.25
-        r0 = math.sqrt(max(R * R - a, 0.0))
-        per, mass = offcenter_p2_2d(R, r0, a)
-        return BallSolution(dim, R, r0, per, mass, BallBranch.OFF_CENTRE, -2.0 / R)
-    return symmetric_ball(Density(2.0, a), dim, M0)
+    Density(2.0, a)  # validates a before it meets a_crit
+    a_crit = critical_offset(2.0, dim, M0)
+    ball = symmetric_ball(Density(2.0, max(a, a_crit)), dim, M0)
+    if a >= a_crit:
+        return ball
+    return replace(ball, center_offset=math.sqrt(a_crit - a), branch=BallBranch.OFF_CENTRE)
+
+
+def solve_2d_p2(a: float, M0: float) -> BallSolution:
+    """Optimal circle for p = 2 in the plane: off-centre below a_crit = sqrt(2*M0/(3*pi))."""
+    return _solve_p2_ball(Dimension(2), a, M0)
 
 
 def solve_3d_p2(a: float, M0: float) -> BallSolution:
-    """Optimal sphere for p = 2 in space.
-
-    Below a_crit = (15*M0/(32*pi))**(2/5) the sphere straddles the origin
-    with constant radius (15*M0/(32*pi))**(1/5), centre offset
-    sqrt(R**2 - a) and surface area 8*pi*R**4, independent of a.  Above
-    a_crit it is the centred sphere of symmetric_ball.
-    """
-    check_mass(M0)
-    if a < 0.0:
-        raise ValueError("offset must be nonnegative")
-    dim = Dimension(3)
-    a_crit = (15.0 * M0 / (32.0 * math.pi)) ** 0.4
-    if a <= a_crit:
-        R = (15.0 * M0 / (32.0 * math.pi)) ** 0.2
-        r0 = math.sqrt(max(R * R - a, 0.0))
-        area, mass = offcenter_p2_3d(R, r0, a)
-        return BallSolution(dim, R, r0, area, mass, BallBranch.OFF_CENTRE, -3.0 / R)
-    return symmetric_ball(Density(2.0, a), dim, M0)
+    """Optimal sphere for p = 2 in space: off-centre below a_crit = (15*M0/(32*pi))**(2/5)."""
+    return _solve_p2_ball(Dimension(3), a, M0)
 
 
 def generalized_curvature(dens: Density, r: float, r_dot: float, r_ddot: float) -> float:

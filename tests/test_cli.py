@@ -165,6 +165,29 @@ def test_extreme_1d_inputs_meet_the_relative_mass_constraint(capsys, argv):
     assert all(abs(r) <= 1e-12 for r in resids)
 
 
+@pytest.mark.parametrize("a, mass, beta", [("1e6", "1e-3", 1e-9), ("1e200", "1", 1e-200)])
+def test_p1_endpoint_at_large_offsets(capsys, a, mass, beta):
+    # beta is about M/a; as sqrt(a*a + 2*M) - a it cancelled to 9.31e-10
+    # at a = 1e6 and overflowed to an exit 1 at a = 1e200
+    code, out, err = run_cli(capsys, "solve", "--dim", "1", "--p", "1", "--a", a, "--mass", mass)
+    assert code == 0, err
+    rec = json.loads(out)
+    assert rec["alpha"] == 0.0 and rec["beta"] == beta
+    assert abs(rec["mass_residual"]) <= 1e-12 * float(mass)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--p", "4", "--dim", "1", "--a", "1e308"],
+    ["--p", "4", "--dim", "3", "--a", "1.7e308"],
+    ["--p", "4", "--dim", "2", "--a", "1e300"],
+], ids=" ".join)
+def test_acrit_overflow_is_a_one_line_numeric_failure(capsys, argv):
+    code, out, err = run_cli(capsys, "acrit", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "numeric failure: critical_mass not finite\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["--p", "0.5", "--a", "1", "--mass", "1.7e308", "--force-numeric"],
     ["--p", "1.5", "--a", "0", "--mass", "1.7e308"],

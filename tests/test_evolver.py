@@ -230,10 +230,14 @@ def _uphill(dens, X, functional_grad, mass_grad, pin):
 def test_failed_line_search_keeps_state_and_remembers_its_smallest_trial(monkeypatch):
     # every trial uphill along the constraint is rejected, down to the
     # floor of 1e-14 of the state's extent; the next search along the
-    # direction starts near there
+    # direction starts near there.  Both states are valid, so the
+    # perimeter rejects each trial, not the shape test: the curve is
+    # scaled to about the target mass, since a long projection along the
+    # normals folds its wobbles
     dens, M0, step0 = Density(2, 0.3), 1.0, 0.01
-    V = _project_mass(dens, _wobbly_curve(n=96, seed=4, center=(0.3, 0.0)), M0)
+    V = _project_mass(dens, 0.7 * _wobbly_curve(n=96, seed=4, center=(0.3, 0.0)), M0)
     W = _project_mass_rev(dens, _wobbly_profile(), M0)
+    assert ev._star_ok(V, ev._centroid(V)) and ev._profile_ok(W)
     cases = [("_try_direction", V, _perimeter(dens, V),
               _uphill(dens, V, _perimeter_grad, _mass_grad, lambda g: g)),
              ("_try_direction_rev", W, _rev_area(dens, W),

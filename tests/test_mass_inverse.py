@@ -26,6 +26,7 @@ from isodense import (
     solve_2d_p2,
     solve_3d_p2,
     solve_general,
+    solve_p1,
     solve_p2,
     solve_p_lt_1,
     solve_symmetric,
@@ -117,6 +118,20 @@ def test_solve_p_lt_1_mass_residual(p, a, M0):
     assert _interval_resid(p, a, solve_p_lt_1(Density(p, a), M0), M0) <= RTOL
 
 
+@settings(max_examples=100, deadline=None)
+@given(offsets, masses)
+def test_solve_p1_mass_residual(a, M0):
+    assert _interval_resid(1.0, a, solve_p1(a, M0), M0) <= RTOL
+
+
+@pytest.mark.parametrize("solve", [solve_p1, solve_p2, solve_2d_p2, solve_3d_p2])
+@pytest.mark.parametrize("a", [-1.0, float("nan"), float("inf")])
+def test_p1_and_p2_solvers_reject_a_bad_offset(solve, a):
+    # the p = 2 solvers take max(a, a_crit), which would hide a negative a
+    with pytest.raises(ValueError):
+        solve(a, 1.0)
+
+
 # name: (exponents, d, radius or right end of the solver's answer)
 _RADII = {
     "symmetric_ball d=2": (exponents, 2,
@@ -129,6 +144,7 @@ _RADII = {
                         lambda p, a, M: solve_symmetric(Density(p, a), M).beta),
     "solve_p_lt_1": (st.floats(0.05, 1.0, exclude_max=True), 1,
                      lambda p, a, M: solve_p_lt_1(Density(p, a), M).beta),
+    "solve_p1": (st.just(1.0), 1, lambda p, a, M: solve_p1(a, M).beta),
 }
 
 
@@ -159,3 +175,21 @@ def test_random_solve_vectors_never_print_a_traceback(dim, p, a, mass, force):
     assert "Traceback" not in err.getvalue()
     if code == 0:
         assert json.loads(out.getvalue())["dim"] == int(dim)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["1", "2", "3"]), any_float, st.none() | any_float, st.none() | any_float)
+def test_random_acrit_vectors_never_print_a_traceback(dim, p, mass, a):
+    # --flag=value, so argparse reads a negative value as a value, not an option
+    argv = ["acrit", f"--p={p!r}", "--dim", dim]
+    argv += [f"{flag}={value!r}" for flag, value in (("--mass", mass), ("--a", a))
+             if value is not None]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:  # every printed number is finite: none prints as null
+        assert None not in json.loads(out.getvalue()).values()
+    elif code == 2:
+        assert len(err.getvalue().strip().splitlines()) == 1

@@ -7,14 +7,19 @@ from isodense import (
     BallBranch,
     Density,
     Dimension,
+    Interval,
     circle_polar_profile,
+    critical_offset,
     generalized_curvature,
+    mass1d,
     offcenter_p2_2d,
     offcenter_p2_3d,
     offcenter_quadrature_2d,
     offcenter_quadrature_3d,
     solve_2d_p2,
     solve_3d_p2,
+    solve_p2,
+    solve_symmetric,
     symmetric_ball,
 )
 
@@ -173,12 +178,30 @@ def test_solve_3d_p2_area_constant_below_critical():
 
 
 def test_offcentre_discriminant_matches_critical_offset():
-    # r0 = sqrt(R^2 - a) is real exactly while a <= a_crit
-    for M0 in (0.5, 1.0, 2.0):
-        R2 = math.sqrt(2.0 * M0 / (3.0 * math.pi))
-        assert R2 == pytest.approx(math.sqrt(2.0 * M0 / (3.0 * math.pi)))
-        R3 = (15.0 * M0 / (32.0 * math.pi)) ** 0.2
-        assert R3 ** 2 == pytest.approx((15.0 * M0 / (32.0 * math.pi)) ** 0.4, rel=1e-13)
+    # moving a ball by r0 under |x|**2 + a acts as raising the offset to
+    # a + r0**2: each off-centre optimum has R**2 = a_crit, and its closed
+    # form values are those of the centred ball at a + r0**2
+    for d in (1, 2, 3):
+        for M0 in (0.5, 1.0, 2.0):
+            a_crit = critical_offset(2.0, Dimension(d), M0)
+            for a in (0.0, 0.3 * a_crit, 0.9 * a_crit):
+                if d == 1:
+                    sol = solve_p2(a, M0)
+                    R, r0 = 0.5 * (sol.beta - sol.alpha), 0.5 * (sol.beta + sol.alpha)
+                    per, mass = sol.perimeter, mass1d(Density(2, a), Interval(sol.alpha, sol.beta))
+                    centred = solve_symmetric(Density(2, a + r0 * r0), mass)
+                    radius = centred.beta
+                else:
+                    sol = (solve_2d_p2 if d == 2 else solve_3d_p2)(a, M0)
+                    R, r0 = sol.radius, sol.center_offset
+                    offcentre = offcenter_p2_2d if d == 2 else offcenter_p2_3d
+                    per, mass = offcentre(R, r0, a)
+                    centred = symmetric_ball(Density(2, a + r0 * r0), Dimension(d), mass)
+                    radius = centred.radius
+                assert R * R == pytest.approx(a_crit, rel=1e-13)
+                assert mass == pytest.approx(M0, rel=1e-12)
+                assert radius == pytest.approx(R, rel=1e-13)
+                assert centred.perimeter == pytest.approx(per, rel=1e-13)
 
 
 def test_generalized_curvature_centred_circle():

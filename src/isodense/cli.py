@@ -149,10 +149,10 @@ def _solution_record(dim: int, p: float, a: float, mass: float, sol) -> dict:
            "perimeter": sol.perimeter,
            "lagrange_multiplier": sol.lagrange_multiplier}
     if isinstance(sol, IntervalSolution):
-        rec.update(alpha=sol.alpha, beta=sol.beta,
-                   mass_residual=mass1d(Density(p, a), Interval(sol.alpha, sol.beta)) - mass)
+        rec.update(alpha=sol.alpha, beta=sol.beta)
     else:
-        rec.update(R=sol.radius, r0=sol.center_offset, mass_residual=sol.mass - mass)
+        rec.update(R=sol.radius, r0=sol.center_offset)
+    rec["mass_residual"] = sol.mass - mass
     return rec
 
 
@@ -231,14 +231,8 @@ def _cmd_contour(args) -> int:
 
 def _cmd_evolve(args) -> int:
     dens = Density(args.p, args.a)
-    if args.dim == 2:
-        report = evolve_2d(dens, args.mass, n=args.vertices, max_iters=args.iters,
-                           tol=args.tol)
-    elif args.dim == 3:
-        report = evolve_3d_axisym(dens, args.mass, n=args.vertices,
-                                  max_iters=args.iters, tol=args.tol)
-    else:
-        raise ValueError("evolve supports --dim 2 or 3")
+    evolve = evolve_2d if args.dim == 2 else evolve_3d_axisym  # argparse allows 2 and 3 only
+    report = evolve(dens, args.mass, n=args.vertices, max_iters=args.iters, tol=args.tol)
     rec = {
         "dim": args.dim, "p": args.p, "a": args.a, "mass": args.mass,
         "weighted_perimeter": report.weighted_perimeter,

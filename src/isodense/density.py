@@ -92,7 +92,11 @@ class Density:
         """F(q) = integral of rho over [0, q] = q**(p+1)/(p+1) + a*q, q >= 0."""
         if q < 0.0:
             raise ValueError("q must be nonnegative")
-        return q ** (self.p + 1.0) / (self.p + 1.0) + self.a * q
+        try:
+            head = q ** (self.p + 1.0) / (self.p + 1.0)
+        except OverflowError:  # q**(p+1) past the float range, though its quotient need not be
+            head = q * (q ** self.p / (self.p + 1.0))
+        return head + self.a * q
 
     def log_density_second_derivative(self, r: float) -> float:
         """Second derivative of log(rho) at r > 0.
@@ -154,6 +158,16 @@ def radial_mass_inverse(p: float, a, m, d: int = 1) -> np.ndarray:
     raise NumericError(f"radial mass inverse did not settle in {_NEWTON_CAP} Newton steps")
 
 
+def _ball_ratios(p: float, dim: Dimension) -> tuple[float, float]:
+    """k_d*p*(d+1) / (d*(p+d)) and its reciprocal, both finite at every p.
+
+    Both terms are scaled by 2**-8, which keeps the bits of their ratios.
+    """
+    d = dim.d
+    num, den = dim.k_d * (p / 256.0) * (d + 1), d * (p / 256.0 + d / 256.0)
+    return num / den, den / num
+
+
 def critical_offset(p: float, dim: Dimension, mass: float) -> float:
     """Smallest offset a for which the centred ball of the given mass is optimal.
 
@@ -164,7 +178,7 @@ def critical_offset(p: float, dim: Dimension, mass: float) -> float:
         raise ValueError("critical offset is defined only for p > 1")
     check_mass(mass)
     d = dim.d
-    base = d * (p + d) / (dim.k_d * p * (d + 1))
+    base = _ball_ratios(p, dim)[1]
     return base ** (p / (p + d)) * (p - 1.0) ** (-d / (p + d)) * mass ** (p / (p + d))
 
 
@@ -192,4 +206,4 @@ def critical_mass(dens: Density, dim: Dimension) -> float:
         scaled = a ** ((p + d) / p)
     except OverflowError:
         return math.inf
-    return dim.k_d * p * (d + 1) / (d * (p + d)) * (p - 1.0) ** (d / p) * scaled
+    return _ball_ratios(p, dim)[0] * (p - 1.0) ** (d / p) * scaled

@@ -329,8 +329,8 @@ def mass_gradient_2d(dens: Density, curve: PolyCurve) -> np.ndarray:
     return _mass_grad(dens, curve.vertices)[1]
 
 
-def _smooth(field: np.ndarray, d: int, k0: float = 4.0) -> np.ndarray:
-    """Sobolev-precondition a vertex field: damp mode k by 1/(1 + (k/k0)**2).
+def _smooth(field: np.ndarray, d: int) -> np.ndarray:
+    """Sobolev-precondition a vertex field: damp mode k by 1/(1 + (k/4)**2).
 
     Vertex-wise descent directions are dominated by mesh-frequency
     components that cap the accepted step length; damping them makes the
@@ -341,14 +341,14 @@ def _smooth(field: np.ndarray, d: int, k0: float = 4.0) -> np.ndarray:
     ext = field if d == 2 else np.vstack([field, field[-2:0:-1]])
     n = len(ext)
     spec = np.fft.rfft(ext, axis=0)
-    return np.fft.irfft(spec * _sobolev(n, k0)[:, None], n=n, axis=0)[: len(field)]
+    return np.fft.irfft(spec * _sobolev(n)[:, None], n=n, axis=0)[: len(field)]
 
 
 @functools.cache
-def _sobolev(n: int, k0: float) -> np.ndarray:
+def _sobolev(n: int) -> np.ndarray:
     """_smooth's multiplier of the rfft modes k = 0 .. n // 2 of an n-point field."""
     k = np.arange(n // 2 + 1)
-    mult = 1.0 / (1.0 + (n / (math.pi * k0)) ** 2 * np.sin(math.pi * k / n) ** 2)
+    mult = 1.0 / (1.0 + (n / (math.pi * 4.0)) ** 2 * np.sin(math.pi * k / n) ** 2)
     mult.flags.writeable = False
     return mult
 

@@ -86,14 +86,15 @@ class IntervalSolution:
 
     branch records which stationary family the optimum belongs to:
     one end at the origin, asymmetric straddling the origin, or symmetric
-    about it.  lagrange_multiplier is the sensitivity of the minimal
-    perimeter to the mass constraint, taken from the right-endpoint
-    stationarity condition; it is None when not computed.
+    about it; mass is its weighted mass.  lagrange_multiplier is the
+    sensitivity of the minimal perimeter to the mass constraint, taken from
+    the right-endpoint stationarity condition; it is None when not computed.
     """
 
     alpha: float
     beta: float
     perimeter: float
+    mass: float
     branch: IntervalBranch
     lagrange_multiplier: Optional[float] = None
 
@@ -241,13 +242,14 @@ def _solution(dens: Density, s: float, beta: float, M0: float,
     if not (s >= 0.0 and beta >= 0.0):  # a NaN or negative endpoint: the solve failed
         raise NumericError(f"endpoints [{-s}, {beta}] are not a valid interval")
     try:
-        resid = abs(dens.primitive(s) + dens.primitive(beta) - M0) / M0
+        mass = dens.primitive(s) + dens.primitive(beta)
     except OverflowError:  # an endpoint's power past the float range
-        resid = math.inf
+        mass = math.inf
+    resid = abs(mass - M0) / M0
     if not resid <= MASS_RTOL:
         raise NumericError(f"relative mass residual {resid:.3e} exceeds {MASS_RTOL}")
-    return IntervalSolution(-s, beta, s ** dens.p + beta ** dens.p + 2.0 * dens.a, branch,
-                            _multiplier(dens, beta))
+    return IntervalSolution(-s, beta, s ** dens.p + beta ** dens.p + 2.0 * dens.a, mass,
+                            branch, _multiplier(dens, beta))
 
 
 def solve_general_batch(p: float, a_values, M0: float) -> list[IntervalSolution]:

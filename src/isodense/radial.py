@@ -211,18 +211,17 @@ def circle_polar_profile(R: float, r0: float, theta) -> tuple[np.ndarray, np.nda
     return r, r_dot, r_ddot
 
 
-def offcenter_quadrature_2d(dens: Density, R: float, r0: float,
-                            nodes: int = 64) -> tuple[float, float]:
+def offcenter_quadrature_2d(dens: Density, R: float, r0: float) -> tuple[float, float]:
     """Weighted perimeter and mass of an off-centre circle by quadrature.
 
     Evaluates the general boundary and area integrals for any p > 0 with
-    tensor Gauss-Legendre rules; serves as the independent check on the
-    p = 2 closed forms.
+    tensor 64-point Gauss-Legendre rules; serves as the independent check
+    on the p = 2 closed forms.
     """
     if R <= 0.0:
         raise ValueError("radius must be positive")
     p, a = dens.p, dens.a
-    x, w = gauss_legendre_nodes(nodes)
+    x, w = gauss_legendre_nodes(64)
     theta = math.pi * x          # theta in [-pi, pi]
     wt = math.pi * w
     dist = np.sqrt(R * R + r0 * r0 + 2.0 * R * r0 * np.cos(theta))
@@ -237,13 +236,12 @@ def offcenter_quadrature_2d(dens: Density, R: float, r0: float,
     return per, mass
 
 
-def offcenter_quadrature_3d(dens: Density, R: float, r0: float,
-                            nodes: int = 64) -> tuple[float, float]:
-    """Weighted surface area and mass of an off-centre sphere by quadrature."""
+def offcenter_quadrature_3d(dens: Density, R: float, r0: float) -> tuple[float, float]:
+    """Weighted surface area and mass of an off-centre sphere by 64-point quadrature."""
     if R <= 0.0:
         raise ValueError("radius must be positive")
     p, a = dens.p, dens.a
-    x, w = gauss_legendre_nodes(nodes)
+    x, w = gauss_legendre_nodes(64)
     theta = math.pi * x
     wt = math.pi * w
     phi = 0.5 * math.pi * (x + 1.0)

@@ -1,29 +1,31 @@
 """Spectral boundary solver: Newton's method on the optimality (KKT) system.
 
 The boundary is star-shaped about a centre (c, 0) on the x-axis and is
-stored as its radius function about that point, sampled at a few dozen
-nodes:
+stored as its radius function about that point, a series in t = cos(phi)
+of the polar angle phi sampled at a few dozen nodes:
 
-- 2D: a closed curve, mirror-symmetric about the x-axis, with r(theta) a
-  cosine series of degree (N-1)/2 at N (odd) equally spaced angles.  At
-  even N the derivative of the Nyquist mode vanishes at every node, so an
-  alternating r would add mass at no perimeter cost.
+- 2D: a closed curve, mirror-symmetric about the x-axis, with r a
+  Chebyshev series of degree (N-1)/2 (cos(k*phi) = T_k(t)) at N (odd)
+  equally spaced angles.  At even N the derivative of the Nyquist mode
+  vanishes at every node, so an alternating r would add mass at no
+  perimeter cost.
 - 3D: an axisymmetric surface about the x-axis, with r a Legendre series
-  of degree N-1 in t = cos(phi) at the N Gauss-Legendre nodes in t.  A
-  smooth surface of revolution has r smooth in t, so the poles need no
-  special case.
+  of degree N-1 at the N Gauss-Legendre nodes in t.  A smooth surface of
+  revolution has r smooth in t, so the poles need no special case.
 
-The centre is an unknown in place of the series' first-degree term (cos
-theta, or t), which is held at zero: that term moves the boundary along
-the axis only to first order and deforms it at second, while c translates
-it exactly.  At a large offset the translation costs almost nothing
-against the deformation (1e-8 of the perimeter at a*M**(-p/(p+d)) ~ 700
-in 3D), and Newton steps in the first-degree term crawled there.
+Only the rule, the family and the factor r**(d-2) of the integrands
+differ between the dimensions.  The centre is an unknown in place of the
+series' first-degree term (t), which is held at zero: that term moves the
+boundary along the axis only to first order and deforms it at second,
+while c translates it exactly.  At a large offset the translation costs
+almost nothing against the deformation (1e-8 of the perimeter at
+a*M**(-p/(p+d)) ~ 700 in 3D), and Newton steps in the first-degree term
+crawled there.
 
 Perimeter (surface area in 3D) and mass are both integrals over the
 boundary: with x the boundary point and n its outward normal, div(|x|^p x)
 = (p+d)|x|^p gives M = a*V + (1/(p+d)) * integral of |x|^p x.n, and V is
-the same integral of x.n/d.  The trapezoid rule in theta and the Gauss rule
+the same integral of x.n/d.  The trapezoid rule in phi and the Gauss rule
 in t are spectrally accurate for smooth boundaries that avoid the origin
 (Trefethen & Weideman, The exponentially convergent trapezoidal rule, SIAM
 Review 56, 2014).  The integrands and their first and second partials in
@@ -115,21 +117,20 @@ class _Jet:
 class _Nodes(NamedTuple):
     """Quadrature nodes of one discretisation and its series basis.
 
-    At node j the boundary point is (c + r*u, r*sqrt(1 - u**2)); the
-    arc element is r**(d-2) * sqrt(r**2 + e*r'**2) and x.n is
-    r**(d-2) * (r**2 + c*(r*u - v*r')), both times the weight w.
+    At node j, t = cos(phi) and the boundary point is (c + r*t,
+    r*sqrt(1 - t**2)); with r' = dr/dt the arc element is
+    r**(d-2) * sqrt(r**2 + (1 - t**2)*r'**2) and x.n is
+    r**(d-2) * (r**2 + c*(r*t - (1 - t**2)*r')), both times the weight w.
     The unknowns z are the series coefficients with c in place of the
     first-degree one: basis[0], basis[1] and basis[2] map z to r, r' and
     c at the nodes, and fine maps z to r on a grid four times as dense
-    that includes the poles in 3D: a radius that turns negative between
-    the nodes describes a curve that crosses itself, which the quadrature
+    that includes the poles: a radius that turns negative between the
+    nodes describes a curve that crosses itself, which the quadrature
     cannot see.
     """
 
     d: int
-    u: np.ndarray
-    v: np.ndarray
-    e: np.ndarray
+    t: np.ndarray
     w: np.ndarray
     basis: np.ndarray
     fine: np.ndarray
@@ -138,13 +139,10 @@ class _Nodes(NamedTuple):
         return bool(np.min(self.fine @ z) > 0.0)
 
 
-def _with_center(r: np.ndarray, dr: np.ndarray, fine: np.ndarray) -> tuple:
-    """(basis, fine) with column 1, the first-degree term, turned into the centre."""
-    C = np.zeros_like(r)
-    C[:, 1] = 1.0
-    r, dr, fine = r.copy(), dr.copy(), fine.copy()
-    r[:, 1] = dr[:, 1] = fine[:, 1] = 0.0
-    return np.stack([r, dr, C]), fine
+_cheb, _leg = np.polynomial.chebyshev, np.polynomial.legendre
+# (vander, der, val) of the series in t = cos(phi): cos(k*phi) = T_k(t) in 2D
+_FAMILY = {2: (_cheb.chebvander, _cheb.chebder, _cheb.chebval),
+           3: (_leg.legvander, _leg.legder, _leg.legval)}
 
 
 @functools.cache
@@ -152,20 +150,19 @@ def _nodes(d: int, N: int) -> _Nodes:
     if d == 2:
         if N < 5 or N % 2 == 0:
             raise ValueError(f"2D needs an odd node count of at least 5, got {N}")
-        theta = 2.0 * math.pi * np.arange(N) / N
-        k = np.arange((N - 1) // 2 + 1)
-        basis, fine = _with_center(np.cos(np.outer(theta, k)), -k * np.sin(np.outer(theta, k)),
-                                   np.cos(np.outer(np.linspace(0.0, math.pi, 2 * N + 1), k)))
-        return _Nodes(2, np.cos(theta), -np.sin(theta), np.ones(N),
-                      np.full(N, 2.0 * math.pi / N), basis, fine)
-    if N < 4:
-        raise ValueError(f"3D needs at least 4 nodes, got {N}")
-    leg = np.polynomial.legendre
-    t, wt = leg.leggauss(N)
-    basis, fine = _with_center(leg.legvander(t, N - 1),
-                               leg.legvander(t, N - 2) @ leg.legder(np.eye(N)),
-                               leg.legvander(np.cos(np.linspace(0.0, math.pi, 4 * N + 1)), N - 1))
-    return _Nodes(3, t, 1.0 - t * t, 1.0 - t * t, 2.0 * math.pi * wt, basis, fine)
+        t, w = np.cos(2.0 * math.pi * np.arange(N) / N), np.full(N, 2.0 * math.pi / N)
+        K, n_fine = (N + 1) // 2, 2 * N + 1  # the N angles visit each t in (-1, 1) twice
+    else:
+        if N < 4:
+            raise ValueError(f"3D needs at least 4 nodes, got {N}")
+        t, w = _leg.leggauss(N)
+        w, K, n_fine = 2.0 * math.pi * w, N, 4 * N + 1
+    vander, der, _ = _FAMILY[d]
+    r, dr = vander(t, K - 1), vander(t, K - 2) @ der(np.eye(K))
+    fine = vander(np.cos(np.linspace(0.0, math.pi, n_fine)), K - 1)
+    C = np.broadcast_to(np.eye(K)[1], r.shape)  # column 1, the first-degree term, is the centre
+    r[:, 1] = dr[:, 1] = fine[:, 1] = 0.0
+    return _Nodes(d, t, w, np.stack([r, dr, C]), fine)
 
 
 def _integrands(nodes: _Nodes, p: float, r, s, c):
@@ -174,12 +171,12 @@ def _integrands(nodes: _Nodes, p: float, r, s, c):
     Perimeter P = P_p + a*P_0 and mass M = M_p + a*V; under a scaling by
     s about the origin they grow as s**(p+d-1), s**(d-1), s**(p+d), s**d.
     """
-    d, u = nodes.d, nodes.u
-    X, r2 = r * u + c, r * r
-    qp = (X * X + r2 * (1.0 - u * u)) ** (0.5 * p)  # |x|**p, |x|**2 a sum of squares
+    d, t = nodes.d, nodes.t
+    e, X, r2 = 1.0 - t * t, r * t + c, r * r
+    qp = (X * X + r2 * e) ** (0.5 * p)  # |x|**p, |x|**2 a sum of squares
     rd = r if d == 3 else 1.0
-    ell = rd * (r2 + s * s * nodes.e) ** 0.5
-    flux = rd * (r2 + (r * u + s * (-nodes.v)) * c)
+    ell = rd * (r2 + s * s * e) ** 0.5
+    flux = rd * (r2 + (r * t + s * (-e)) * c)
     return qp * ell, ell, qp * flux * (1.0 / (p + d)), flux * (1.0 / d)
 
 
@@ -218,11 +215,12 @@ class SpectralOptimum(NamedTuple):
     """A boundary from the spectral solver, at the requested mass.
 
     The boundary point at polar angle phi about (center, 0) is
-    (center + r cos phi, r sin phi), r = radius(phi)[0]; in 3D the surface
-    is this profile (phi in [0, pi]) revolved about the x-axis.  perimeter
-    is the weighted surface area in 3D.  residual is the relative KKT
-    residual; certified says whether it is at most KKT_RTOL with r > 0 on
-    the fine grid and the mass within a relative MASS_RTOL.
+    (center + r cos phi, r sin phi), r = radius(phi)[0], the series in
+    cos(phi) (Chebyshev in 2D, Legendre in 3D) with coefficients coeffs;
+    in 3D the surface is this profile (phi in [0, pi]) revolved about the
+    x-axis.  perimeter is the weighted surface area in 3D.  residual is the
+    relative KKT residual; certified says whether it is at most KKT_RTOL
+    with r > 0 on the fine grid and the mass within a relative MASS_RTOL.
     """
 
     dim: int
@@ -235,16 +233,9 @@ class SpectralOptimum(NamedTuple):
 
     def radius(self, phi) -> tuple[np.ndarray, np.ndarray]:
         """r and dr/dphi at the polar angles phi."""
-        phi = np.asarray(phi, dtype=float)
-        if self.dim == 2:  # one mode at a time: no array of len(phi) * len(coeffs)
-            r, r_phi = np.zeros_like(phi), np.zeros_like(phi)
-            for k, b in enumerate(self.coeffs.tolist()):
-                r += b * np.cos(k * phi)
-                r_phi -= k * b * np.sin(k * phi)
-            return r, r_phi
-        leg = np.polynomial.legendre
+        _, der, val = _FAMILY[self.dim]
         t = np.cos(phi)
-        return leg.legval(t, self.coeffs), -np.sin(phi) * leg.legval(t, leg.legder(self.coeffs))
+        return val(t, self.coeffs), -np.sin(phi) * val(t, der(self.coeffs))
 
     def sample(self, n: int) -> np.ndarray:
         """n boundary points equally spaced in arc length, as an (n, 2) array.
@@ -274,7 +265,7 @@ def _solve(dens: Density, M0: float, d: int, N: int) -> SpectralOptimum:
     with np.errstate(all="ignore"):  # a failed evaluation is not finite, and is refused
         a = dens.a * M0 ** (-p / (p + d))
         R = float(radial_mass_inverse(p, a, 1.0 / Dimension(d).k_d, d))
-        z = np.zeros(N if d == 3 else (N + 1) // 2)
+        z = np.zeros(nodes.basis.shape[2])
         z[:2] = R, _initial_center(Density(p, a), R)  # the circle or sphere, onto the mass
         parts = _values(nodes, p, z)
         s = _rescale(p, a, d, parts)
@@ -322,9 +313,9 @@ def _solve(dens: Density, M0: float, d: int, N: int) -> SpectralOptimum:
 def spectral_2d(dens: Density, M0: float, nodes: int = 33) -> SpectralOptimum:
     """Minimum weighted perimeter at weighted mass M0 in the plane, by Newton-KKT.
 
-    nodes (odd) equally spaced angles carry a cosine series of degree
-    (nodes-1)/2; the start is a circle of the centred ball's radius about
-    (c, 0), with c as for the polygon evolver.
+    nodes (odd) equally spaced angles carry a Chebyshev series in cos(phi)
+    of degree (nodes-1)/2; the start is a circle of the centred ball's
+    radius about (c, 0), with c as for the polygon evolver.
     """
     return _solve(dens, M0, 2, nodes)
 

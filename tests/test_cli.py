@@ -176,6 +176,25 @@ def test_p1_endpoint_at_large_offsets(capsys, a, mass, beta):
     assert abs(rec["mass_residual"]) <= 1e-12 * float(mass)
 
 
+def test_1d_p2_mass_past_the_float_range_of_the_cube(capsys):
+    # beta**3 of the interval's primitive overflowed at beta = 6.7e102 (exit 2)
+    code, out, err = run_cli(capsys, "solve", "--dim", "1", "--p", "2", "--a", "0.5",
+                             "--mass", "1e308")
+    assert code == 0, err
+    rec = json.loads(out)
+    assert abs(rec["mass_residual"]) <= 1e-12 * 1e308
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["--p", "5e307", "--dim", "1", "--a", "1"], "critical_mass", 4.0),
+    (["--p", "1e308", "--dim", "3", "--mass", "1"], "a_crit", 3.0 / (16.0 * math.pi)),
+], ids=["dim1-critical_mass", "dim3-a_crit"])
+def test_acrit_at_huge_p(capsys, argv, key, value):
+    code, out, err = run_cli(capsys, "acrit", *argv)
+    assert code == 0, err
+    assert json.loads(out)[key] == pytest.approx(value, rel=1e-11)
+
+
 @pytest.mark.parametrize("argv", [
     ["--p", "4", "--dim", "1", "--a", "1e308"],
     ["--p", "4", "--dim", "3", "--a", "1.7e308"],

@@ -149,6 +149,31 @@ def test_critical_mass_inverse_consistency():
         assert back == pytest.approx(a, rel=1e-10)
 
 
+def test_primitive_past_the_float_range_of_its_power():
+    # beta**3 overflows at beta = 6.69e102 while beta**3 / 3 = 1e308 does not
+    dens, beta = Density(2.0, 0.5), 6.69432950082e102
+    assert dens.primitive(beta) == pytest.approx(beta * (beta * beta / 3.0) + 0.5 * beta,
+                                                 rel=1e-15)
+    # where q**(p+1) is finite the value keeps its bits
+    assert dens.primitive(3.0) == 3.0 ** 3 / 3.0 + 0.5 * 3.0
+
+
+@pytest.mark.parametrize("p", [1e300, 5e307, 1e308])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_critical_offset_and_mass_at_huge_p_approach_their_limits(p, d):
+    # as p -> inf, a_crit -> M * d / (k_d * (d+1)) and critical_mass -> a * k_d * (d+1) / d;
+    # k_d * p * (d+1) overflowed first, giving 0.0, NaN or inf
+    dim = Dimension(d)
+    limit = d / (dim.k_d * (d + 1))
+    assert critical_offset(p, dim, 1.0) == pytest.approx(limit, rel=1e-12)
+    assert critical_offset(p, dim, 3.0) == pytest.approx(3.0 * limit, rel=1e-12)
+    m = critical_mass(Density(p, 1.0), dim)
+    assert m == pytest.approx(1.0 / limit, rel=1e-12)
+    assert critical_offset(p, dim, m) == pytest.approx(1.0, rel=1e-12)
+    assert critical_offset(p, dim, critical_mass(Density(p, 0.2), dim)) == pytest.approx(
+        0.2, rel=1e-12)
+
+
 def test_dimension_constants():
     assert Dimension(1).k_d == 2.0
     assert Dimension(2).k_d == pytest.approx(2 * math.pi)

@@ -224,9 +224,12 @@ def test_solution_mass_consistency():
         (Density(4, 1), 2.0, solve_symmetric(Density(4, 1), 2.0)),
         (Density(1.5, 0.3), 1.0, solve_general(Density(1.5, 0.3), 1.0)),
         (Density(4, 0.2), 1.0, solve_general(Density(4, 0.2), 1.0)),
+        (Density(4, 0.2), 1.0, brute_force_oracle(Density(4, 0.2), 1.0, 1000)),
     ]
     for dens, M0, sol in cases:
-        assert abs(mass1d(dens, Interval(sol.alpha, sol.beta)) - M0) <= 1e-9 * M0
+        # the solution carries its mass, with the bits of mass1d's
+        assert sol.mass == mass1d(dens, Interval(sol.alpha, sol.beta))
+        assert abs(sol.mass - M0) <= 1e-9 * M0
         assert perimeter1d(dens, Interval(sol.alpha, sol.beta)) == pytest.approx(
             sol.perimeter, rel=1e-12)
 

@@ -69,6 +69,32 @@ def test_scaled_solve_meets_its_mass(d, p, a, log_mass):
     assert opt.certified
 
 
+@pytest.mark.parametrize("N", [33, 65])
+def test_2d_rows_are_the_cosine_modes(N):
+    # cos(k*phi) = T_k(cos phi): the Chebyshev rows are the cosine basis, and
+    # d/dphi = -sin(phi) * d/dt turns the r' rows into its derivative
+    nodes = sp._nodes(2, N)
+    phi = 2.0 * math.pi * np.arange(N) / N
+    k = np.arange((N + 1) // 2)
+    r_rows, dr_rows, c_rows = nodes.basis
+    cos, dcos = np.cos(np.outer(phi, k)), -k * np.sin(np.outer(phi, k))
+    cos[:, 1] = dcos[:, 1] = 0.0  # the first-degree column carries the centre
+    assert np.max(np.abs(r_rows - cos)) <= 1e-13
+    # column k is k times a function of unit size: compare it at that scale
+    assert np.max(np.abs(-np.sin(phi)[:, None] * dr_rows - dcos) / np.maximum(k, 1)) <= 1e-13
+    assert np.array_equal(c_rows[:, 1], np.ones(N)) and not c_rows[:, k != 1].any()
+
+
+@pytest.mark.parametrize("N", [33, 65])
+def test_2d_radius_is_the_cosine_sum(N):
+    opt = spectral_2d(Density(4.0, 0.1), 1.0, nodes=N)
+    phi = np.linspace(0.0, 2.0 * math.pi, 400)
+    k = np.arange(len(opt.coeffs))
+    r, r_phi = opt.radius(phi)
+    assert np.max(np.abs(r - np.cos(np.outer(phi, k)) @ opt.coeffs)) <= 1e-14
+    assert np.max(np.abs(r_phi + np.sin(np.outer(phi, k)) @ (k * opt.coeffs))) <= 1e-14
+
+
 def test_node_counts_are_checked():
     with pytest.raises(ValueError):
         spectral_2d(Density(2.0, 0.1), 1.0, nodes=32)  # even: a free Nyquist mode

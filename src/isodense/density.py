@@ -40,6 +40,7 @@ _K_D = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 MASS_RTOL = 1e-12  # relative mass residual every returned solution meets
 _TINY = np.finfo(float).tiny  # the smallest normal float
 _NEWTON_CAP = 100  # Newton steps allowed per inverse; from its start it needs under ten
+_BIG = 2.0 ** 1022  # a quarter of the float range: below it, 2*m*(p+d) fits
 
 
 def check_mass(mass: float) -> None:
@@ -127,35 +128,53 @@ class Density:
 def radial_mass_inverse(p: float, a, m, d: int = 1) -> np.ndarray:
     """R >= 0 with G_d(R) = R**(p+d)/(p+d) + a*R**d/d = m, elementwise over arrays a and m >= 0.
 
-    Newton starts above the root, at min((m*(p+d))**(1/(p+d)), (m*d/a)**(1/d)),
-    the latter formed as (m*d)**(1/d) / a**(1/d) where m*d/a falls below
-    the normal range; G_d is convex and increasing on R >= 0, so the
-    iterates fall monotonically.  An element freezes at the first step
-    that does not lower it (that step repeats on every later pass), within
-    rounding of its root.  Raises NumericError if some element is still falling after
-    _NEWTON_CAP steps.
+    Newton starts above the root, at min((m*(p+d))**(1/(p+d)), (m*d/a)**(1/d));
+    where a product leaves the float range (m*d/a below the normal range
+    for a tiny mass over a huge offset, m*(p+d) past it for a huge mass)
+    its root is taken one factor at a time; where m*d/a overflows instead,
+    the first start alone, also above the root, serves.  G_d is convex and
+    increasing on R >= 0, so the iterates fall monotonically.  An element
+    freezes at the first step that does not lower it (that step repeats on
+    every later pass), within rounding of its root.  Raises NumericError if
+    some element is still falling after _NEWTON_CAP steps, or if finite a
+    and m give a root past the float range; non-finite a or m give a
+    non-finite R.
     """
     m = np.asarray(m, dtype=float)
-    a_d = a / d
+    a_d, e = a / d, 1.0 / (p + d)
     with np.errstate(all="ignore"):  # m*d/a is inf or nan at a = 0; fmin drops either
         q = m * d / a
         low = q < _TINY  # a tiny mass over a huge offset: q underflows, its d-th root need not
         q = q ** (1.0 / d)
         if low.any():
             q = np.where(low, (m * d) ** (1.0 / d) / a ** (1.0 / d), q)
-        R = np.fmin((m * (p + d)) ** (1.0 / (p + d)), q)
+        top = m * (p + d)
+        big = top.max()
+        if big == math.inf:  # a huge mass: m*(p+d) overflows, its root need not
+            top = np.where(top == math.inf, m ** e * (p + d) ** e, top ** e)
+        else:
+            top = top ** e
+        R = np.fmin(top, q)
         for _ in range(_NEWTON_CAP):
             Rp = R ** p
             # (G_d - m) / G_d' with R**(d-1) divided out of G_d' = R**(d-1) * (R**p + a)
             m_R = m if d == 1 else m * R ** (1 - d)
             R_new = R - (R * (Rp / (p + d) + a_d) - m_R) / (Rp + a)
             if not (R_new < R).any():
-                return R
+                # G_d is at most 2*m at the start and falls, so R turns NaN or negative
+                # only where a or m is not finite or m*(p+d) nears the top of the range
+                if not big > _BIG or R.min() >= 0.0 \
+                        or not (~(R >= 0.0) & np.isfinite(a) & np.isfinite(m)).any():
+                    return R
+                failure = "has a root past the float range"
+                break
             R = np.fmin(R, R_new)
+        else:
+            failure = f"did not settle in {_NEWTON_CAP} Newton steps"
     # imported here: a top-level import loads numerics (and builds its Gauss-Legendre
     # tables) first, which raised the peak RSS of `import isodense.cli` by 0.5 MB
     from .numerics import NumericError
-    raise NumericError(f"radial mass inverse did not settle in {_NEWTON_CAP} Newton steps")
+    raise NumericError(f"radial mass inverse {failure}")
 
 
 def _ball_ratios(p: float, dim: Dimension) -> tuple[float, float]:

@@ -178,7 +178,8 @@ def _beta_p_lt_1_closed(p: float, a: float, M0: float) -> Optional[float]:
     if p != 0.5:
         return None
     if a == 0.0:
-        return (1.5 * M0) ** (2.0 / 3.0)
+        m = 1.5 * M0  # past the float range for M0 above about 1.2e308: one factor at a time
+        return m ** (2.0 / 3.0) if m < math.inf else 1.5 ** (2.0 / 3.0) * M0 ** (2.0 / 3.0)
     try:
         d_term = 0.75 * M0 - a ** 3 / 8.0
         e_term = a ** 6 / 64.0

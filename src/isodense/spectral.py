@@ -2,22 +2,23 @@
 
 The boundary is star-shaped about a centre (c, 0) on the x-axis and is
 stored as its radius function about that point, a series in t = cos(phi)
-of the polar angle phi sampled at a few dozen nodes:
+of the polar angle phi with K coefficients, sampled at the K nodes of the
+Gauss rule of the series' weight:
 
 - 2D: a closed curve, mirror-symmetric about the x-axis, with r a
-  Chebyshev series of degree (N-1)/2 (cos(k*phi) = T_k(t)) at N (odd)
-  equally spaced angles.  At even N the derivative of the Nyquist mode
-  vanishes at every node, so an alternating r would add mass at no
-  perimeter cost.
+  Chebyshev series (cos(k*phi) = T_k(t)) at the Gauss-Chebyshev nodes,
+  which are K equally spaced angles in (0, pi); the weights count the
+  mirrored half twice.
 - 3D: an axisymmetric surface about the x-axis, with r a Legendre series
-  of degree N-1 at the N Gauss-Legendre nodes in t.  A smooth surface of
-  revolution has r smooth in t, so the poles need no special case.
+  at the Gauss-Legendre nodes in t.  A smooth surface of revolution has r
+  smooth in t, so the poles need no special case.
 
-Only the rule, the family and the factor r**(d-2) of the integrands
-differ between the dimensions.  The centre is an unknown in place of the
-series' first-degree term (t), which is held at zero: that term moves the
-boundary along the axis only to first order and deforms it at second,
-while c translates it exactly.  At a large offset the translation costs
+Only the family (its series and its Gauss rule) and the factor r**(d-2)
+of the integrands differ between the dimensions (Boyd, Chebyshev and
+Fourier Spectral Methods, 2nd ed., 2001).  The centre is an unknown in
+place of the series' first-degree term (t), which is held at zero: that
+term moves the boundary along the axis only to first order and deforms
+it at second, while c translates it exactly.  At a large offset the translation costs
 almost nothing against the deformation (1e-8 of the perimeter at
 a*M**(-p/(p+d)) ~ 700 in 3D), and Newton steps in the first-degree term
 crawled there.
@@ -25,11 +26,11 @@ crawled there.
 Perimeter (surface area in 3D) and mass are both integrals over the
 boundary: with x the boundary point and n its outward normal, div(|x|^p x)
 = (p+d)|x|^p gives M = a*V + (1/(p+d)) * integral of |x|^p x.n, and V is
-the same integral of x.n/d.  The trapezoid rule in phi and the Gauss rule
-in t are spectrally accurate for smooth boundaries that avoid the origin
-(Trefethen & Weideman, The exponentially convergent trapezoidal rule, SIAM
-Review 56, 2014).  The integrands and their first and second partials in
-(r, r', c) are evaluated together at every node, so the Hessian is exact.
+the same integral of x.n/d.  The Gauss rules are spectrally accurate for
+smooth boundaries that avoid the origin (Trefethen, Is Gauss quadrature
+better than Clenshaw-Curtis?, SIAM Review 50, 2008).  The integrands and
+their first and second partials in (r, r', c) are evaluated together at
+every node, so the Hessian is exact.
 
 The problem is solved at unit mass through the exact scaling: the region
 of mass M0 for offset a is M0**(1/(p+d)) times the unit-mass region for
@@ -43,8 +44,10 @@ and the perimeter does not rise beyond rounding.  A solution is certified
 when its relative KKT residual |grad P - lambda grad M| / |grad P| is at
 most 1e-8, r > 0 on a grid four times as fine as the nodes, and its mass
 is M0 to a relative 1e-12.  The certificate is for the discretisation:
-where the optimum nearly touches the origin (a = 0, large p) the series
-converges slowly, and a certified value moves with the node count.
+at a = 0 the optimum's boundary passes through the origin, where |x|**p
+is smooth only for even p; for other p the series converges there
+algebraically, from above, and a certified value moves with the node
+count.
 """
 
 from __future__ import annotations
@@ -123,8 +126,8 @@ class _Nodes(NamedTuple):
     r**(d-2) * (r**2 + c*(r*t - (1 - t**2)*r')), both times the weight w.
     The unknowns z are the series coefficients with c in place of the
     first-degree one: basis[0], basis[1] and basis[2] map z to r, r' and
-    c at the nodes, and fine maps z to r on a grid four times as dense
-    that includes the poles: a radius that turns negative between the
+    c at the nodes, and fine maps z to r at 4K + 1 angles in [0, pi],
+    the poles included: a radius that turns negative between the
     nodes describes a curve that crosses itself, which the quadrature
     cannot see.
     """
@@ -140,29 +143,24 @@ class _Nodes(NamedTuple):
 
 
 _cheb, _leg = np.polynomial.chebyshev, np.polynomial.legendre
-# (vander, der, val) of the series in t = cos(phi): cos(k*phi) = T_k(t) in 2D
-_FAMILY = {2: (_cheb.chebvander, _cheb.chebder, _cheb.chebval),
-           3: (_leg.legvander, _leg.legder, _leg.legval)}
+# (vander, der, val, gauss, scale) of the series in t = cos(phi): cos(k*phi) = T_k(t) in 2D.
+# The Gauss rule of the family's weight, times scale, integrates over the boundary:
+# 2 for the two mirrored halves of the curve, 2*pi for the revolution.
+_FAMILY = {2: (_cheb.chebvander, _cheb.chebder, _cheb.chebval, _cheb.chebgauss, 2.0),
+           3: (_leg.legvander, _leg.legder, _leg.legval, _leg.leggauss, 2.0 * math.pi)}
 
 
 @functools.cache
-def _nodes(d: int, N: int) -> _Nodes:
-    if d == 2:
-        if N < 5 or N % 2 == 0:
-            raise ValueError(f"2D needs an odd node count of at least 5, got {N}")
-        t, w = np.cos(2.0 * math.pi * np.arange(N) / N), np.full(N, 2.0 * math.pi / N)
-        K, n_fine = (N + 1) // 2, 2 * N + 1  # the N angles visit each t in (-1, 1) twice
-    else:
-        if N < 4:
-            raise ValueError(f"3D needs at least 4 nodes, got {N}")
-        t, w = _leg.leggauss(N)
-        w, K, n_fine = 2.0 * math.pi * w, N, 4 * N + 1
-    vander, der, _ = _FAMILY[d]
+def _nodes(d: int, K: int) -> _Nodes:
+    if K < 4:
+        raise ValueError(f"the spectral solver needs at least 4 nodes, got {K}")
+    vander, der, _, gauss, scale = _FAMILY[d]
+    t, w = gauss(K)
     r, dr = vander(t, K - 1), vander(t, K - 2) @ der(np.eye(K))
-    fine = vander(np.cos(np.linspace(0.0, math.pi, n_fine)), K - 1)
+    fine = vander(np.cos(np.linspace(0.0, math.pi, 4 * K + 1)), K - 1)
     C = np.broadcast_to(np.eye(K)[1], r.shape)  # column 1, the first-degree term, is the centre
     r[:, 1] = dr[:, 1] = fine[:, 1] = 0.0
-    return _Nodes(d, t, w, np.stack([r, dr, C]), fine)
+    return _Nodes(d, t, scale * w, np.stack([r, dr, C]), fine)
 
 
 def _integrands(nodes: _Nodes, p: float, r, s, c):
@@ -233,7 +231,7 @@ class SpectralOptimum(NamedTuple):
 
     def radius(self, phi) -> tuple[np.ndarray, np.ndarray]:
         """r and dr/dphi at the polar angles phi."""
-        _, der, val = _FAMILY[self.dim]
+        der, val = _FAMILY[self.dim][1:3]
         t = np.cos(phi)
         return val(t, self.coeffs), -np.sin(phi) * val(t, der(self.coeffs))
 
@@ -257,9 +255,9 @@ class SpectralOptimum(NamedTuple):
         return V
 
 
-def _solve(dens: Density, M0: float, d: int, N: int) -> SpectralOptimum:
+def _solve(dens: Density, M0: float, d: int, K: int) -> SpectralOptimum:
     check_mass(M0)
-    nodes = _nodes(d, N)
+    nodes = _nodes(d, K)
     p = dens.p
     scale = M0 ** (1.0 / (p + d))
     with np.errstate(all="ignore"):  # a failed evaluation is not finite, and is refused
@@ -310,12 +308,12 @@ def _solve(dens: Density, M0: float, d: int, N: int) -> SpectralOptimum:
                                mass * M0, residual, bool(certified))
 
 
-def spectral_2d(dens: Density, M0: float, nodes: int = 33) -> SpectralOptimum:
+def spectral_2d(dens: Density, M0: float, nodes: int = 17) -> SpectralOptimum:
     """Minimum weighted perimeter at weighted mass M0 in the plane, by Newton-KKT.
 
-    nodes (odd) equally spaced angles carry a Chebyshev series in cos(phi)
-    of degree (nodes-1)/2; the start is a circle of the centred ball's
-    radius about (c, 0), with c as for the polygon evolver.
+    nodes Gauss-Chebyshev points in cos(phi) carry a Chebyshev series of
+    degree nodes-1; the start is a circle of the centred ball's radius
+    about (c, 0), with c as for the polygon evolver.
     """
     return _solve(dens, M0, 2, nodes)
 

@@ -208,13 +208,12 @@ def test_acrit_overflow_is_a_one_line_numeric_failure(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--p", "0.5", "--a", "1", "--mass", "1.7e308", "--force-numeric"],
-    ["--p", "1.5", "--a", "0", "--mass", "1.7e308"],
+    ["--p", "1e-3", "--a", "0.5", "--mass", "1.7e308"],
+    ["--p", "300", "--a", "0.5", "--mass", "1.7e308"],
 ], ids=" ".join)
 def test_huge_1d_mass_is_a_one_line_numeric_failure(capsys, argv):
-    # near the top of the float range the half-widths overflow: the first
-    # case once reached Density.primitive with a negative endpoint (exit 1),
-    # the second printed numpy RuntimeWarnings before its exit 2
+    # near the top of the float range the endpoint (p = 1e-3), or its p-th
+    # power in the perimeter (p = 300), is past it
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run_cli(capsys, "solve", "--dim", "1", *argv)
@@ -223,6 +222,31 @@ def test_huge_1d_mass_is_a_one_line_numeric_failure(capsys, argv):
     assert [str(w.message) for w in caught] == []
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("numeric failure: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--p", "0.5", "--a", "1", "--mass", "1.7e308", "--force-numeric"],
+    ["--p", "1.5", "--a", "0", "--mass", "1.7e308"],
+    ["--p", "1.5", "--a", "0.1", "--mass", "1e308"],
+    ["--p", "1", "--a", "0.1", "--mass", "1e308"],
+    ["--p", "4", "--a", "0.1", "--mass", "1e308"],
+    ["--p", "0.9", "--a", "0.1", "--mass", "1.5e308"],
+    ["--p", "0.5", "--a", "0", "--mass", "1.5e308"],
+], ids=" ".join)
+def test_huge_1d_mass_solves_one_ended(capsys, argv):
+    # m*(p+1) overflows though the endpoint does not: the inverse's Newton
+    # start, and the p = 1/2 closed form at a = 0, take its root one factor
+    # at a time.  An infinite start once gave an infinite one-ended endpoint,
+    # so p = 1.5, a = 0.1 printed an asymmetric interval with a higher
+    # perimeter, and the other cases exited 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "solve", "--dim", "1", *argv)
+    assert (code, err) == (0, "")
+    assert [str(w.message) for w in caught] == []
+    rec = json.loads(out)
+    assert rec["branch"] == "at_origin" and rec["alpha"] == 0.0
+    assert abs(rec["mass_residual"]) <= 1e-12 * rec["mass"]
 
 
 def test_huge_steps_is_a_one_line_usage_error(capsys, monkeypatch):
@@ -443,6 +467,23 @@ def test_contour_failure_leaves_no_output_file(tmp_path, capsys, monkeypatch):
                            "--out", str(tmp_path / "missing" / "c.csv"))
     assert code == 3
     assert "I/O" in err
+
+
+@pytest.mark.parametrize("argv, columns", [
+    (["--p", "4", "--a", "1e308"], "perimeter"),
+    (["--p", "1e308", "--a", "0.5"], "perimeter, mass"),
+    (["--p", "2", "--a", "0.1", "--mass", "1e308"], "mass"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_contour_nonfinite_grid_is_a_one_line_numeric_failure(tmp_path, capsys, argv, columns):
+    # these grids once printed inf and nan values with exit 0
+    out_file = tmp_path / "c.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "contour", *argv, "--grid", "3", "--out", str(out_file))
+    assert code == 2
+    assert out == "" and not out_file.exists()
+    assert [str(w.message) for w in caught] == []
+    assert err == f"numeric failure: contour grid: {columns} not finite\n"
 
 
 def test_evolve_smoke_and_curve_csv(tmp_path, capsys):

@@ -12,6 +12,7 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +34,8 @@ from isodense import (
     symmetric_ball,
 )
 from isodense.cli import main
+from isodense.density import radial_mass_inverse
+from isodense.numerics import NumericError
 from isodense.radial import symmetric_ball_batch
 
 RTOL = 1e-12
@@ -71,6 +74,23 @@ def test_tiny_balls_at_huge_offsets_meet_their_mass(p, a, M0, dim):
     assert abs(mass - Fraction(M0)) <= Fraction(RTOL) * Fraction(M0)
     per = k * R ** (d - 1) * (Rp + Fraction(a))
     assert abs(Fraction(sol.perimeter) - per) <= Fraction(RTOL) * per
+
+
+@settings(max_examples=100, deadline=None)
+@given(exponents, offsets, st.floats(1e307, 1.7e308), st.sampled_from([1, 2, 3]))
+def test_inverse_at_huge_masses_meets_its_mass(p, a, m, d):
+    # m*(p+d), and m*d/a at small a, lie past the float range though the
+    # root does not: the Newton start once was inf, and the root inf or NaN
+    R = float(radial_mass_inverse(p, a, m, d))
+    assert abs(R ** d * (R ** p / (p + d) + a / d) - m) <= RTOL * m
+
+
+def test_inverse_past_the_float_range_is_a_numeric_failure():
+    # G_1(R) = 1.7e308 at p = 1e-3 needs R above 1.8e308
+    with pytest.raises(NumericError):
+        radial_mass_inverse(1e-3, 0.5, 1.7e308)
+    with pytest.raises(NumericError):
+        radial_mass_inverse(1e-3, np.array([0.5, 1e300]), 1.7e308)
 
 
 @settings(max_examples=50, deadline=None)

@@ -7,8 +7,8 @@ removed, and each trial move is followed by chord steps that restore the
 mass by uniform offsets along the iterate's vertex normals, with the
 iterate's mass slope along them (Newton steps with a fresh gradient where
 a chord step does not help).  Steps are accepted only if the weighted
-perimeter does not increase and the curve stays star-shaped (which
-guarantees it stays simple).
+perimeter decreases and the curve stays star-shaped (which guarantees it
+stays simple).
 
 A run starts from the spectral optimum (isodense.spectral) sampled at the
 run's vertex count when that solve is certified, and otherwise from a
@@ -514,11 +514,11 @@ def _first_trial(step0: float, last: float) -> float:
     """Initial step of a line search: near the step the last search remembered.
 
     Nocedal & Wright's initial-step heuristic: start at twice the memory
-    of the previous search along the same direction (its accepted step,
-    or its smallest trial when it failed), capped at step0; with nothing
-    on record (last == 0.0: a new run or a fresh resample) start at
-    step0.  Twice, not four times: a search that opens at 4t mostly
-    fails there and at 2t before it accepts t, two projections wasted.
+    of the previous search (its accepted step, or its smallest trial when
+    it failed), capped at step0; with nothing on record (last == 0.0: a
+    new run or a fresh resample) start at step0.  Twice, not four times:
+    a search that opens at 4t mostly fails there and at 2t before it
+    accepts t, two projections wasted.
     """
     return min(2.0 * last, step0) if last > 0.0 else step0
 
@@ -530,17 +530,17 @@ def _line_search(dens: Density, V: np.ndarray, M0: float, per: float, dhat: np.n
 
     Each trial is projected with chord, the (normals, mass slope) pair of
     the iterate (see _project; None projects by Newton steps), and is
-    accepted when the projection succeeds, the functional does not rise
+    accepted when the projection succeeds, the functional strictly falls
     and ok holds both before and after the projection.  The cheap
     functional test runs first and the validity tests only on trials that
     pass it; a projection that returns its input unchanged is tested once.
 
     Returns (V, functional, step, memory): step is the accepted step
     length, or 0.0 (and the input V, per) when no trial was accepted.
-    memory, from which _first_trial starts the next search along the same
-    direction, is the accepted step or, after a failure, the smallest
-    trial made (step0 if none was): a direction that has stopped
-    descending is not halved again all the way down from the cap.
+    memory, from which _first_trial starts the next search, is the
+    accepted step or, after a failure, the smallest trial made (step0 if
+    none was): a direction that has stopped descending is not halved
+    again all the way down from the cap.
     Halving stops at 1e-14 of the state's extent, so a tiny curve is
     searched as a large one is.
     """
@@ -554,7 +554,7 @@ def _line_search(dens: Density, V: np.ndarray, M0: float, per: float, dhat: np.n
             t *= 0.5
             continue
         pt = functional(dens, Vp)
-        if pt <= per and ok(Vt) and (Vp is Vt or ok(Vp)):
+        if pt < per and ok(Vt) and (Vp is Vt or ok(Vp)):
             return Vp, pt, t, t
         t *= 0.5
     return V, per, 0.0, min(2.0 * t, step0)
@@ -566,32 +566,23 @@ def _unit(direction: np.ndarray):
     return direction / dmax if dmax > 1e-300 else None
 
 
-def _rigid_shift(d: np.ndarray, free: tuple[float, float]):
-    """Unit translation along the mean of the field's free components, or None."""
-    shift = d.mean(axis=0) * free
-    norm = float(math.hypot(shift[0], shift[1]))
-    return shift / norm if norm > 1e-300 else None
-
-
 def _descend(dens: Density, V: np.ndarray, M0: float, per: float, step0: float,
-             steps: list[float], functional_grad, mass_grad, normals, smooth, pin, free,
+             steps: list[float], functional_grad, mass_grad, normals, smooth, pin,
              search) -> tuple[np.ndarray, float, bool]:
     """One projected-descent iteration; returns (V, functional, accepted).
 
-    The direction is -grad(P) with its component along grad(M) removed;
-    the Sobolev-smoothed direction is searched first, then the raw one,
-    which cleans up the vertex noise the smoother leaves.  Vertex-wise
-    descent leaves the rigid motion of an off-centre optimum nearly
-    stationary at fine resolutions, so a third search translates the
-    state along the mean of the field on its free axes; the projection
-    then slides the radius along the constraint.  Trials are accepted
-    only if valid and not longer (in the functional) than before.  pin
-    zeroes the degrees of freedom the state holds fixed.
+    The direction is -grad(P) with its component along grad(M) removed,
+    Sobolev-smoothed (see _smooth) and projected onto the mass tangent
+    again; one line search runs along it.  A translation is mode 0 of each
+    coordinate column, which the smoother passes unchanged, so the same
+    search slides an off-centre optimum home.  Trials are accepted only
+    if valid and shorter (in the functional) than before.  pin zeroes the
+    degrees of freedom the state holds fixed.
 
-    steps holds the memory of the three searches (see _line_search; 0.0
-    for none); each search starts near its entry (see _first_trial) and
-    the list is updated in place.  The searches project their trials
-    with the iterate's normals and mass slope (see _project).
+    steps holds the search's memory in its one entry (see _line_search;
+    0.0 for none); the search starts near it (see _first_trial) and the
+    list is updated in place.  The search projects its trials with the
+    iterate's normals and mass slope (see _project).
     """
     gP = pin(functional_grad(dens, V)[1])
     gM = pin(mass_grad(dens, V)[1])
@@ -604,16 +595,12 @@ def _descend(dens: Density, V: np.ndarray, M0: float, per: float, step0: float,
     if not gM2 > 0.0:  # the whole gradient underflowed
         raise NumericError("mass gradient vanished")
     lam = float((gP * gM).sum() / gM2)
-    d = -gP + lam * gM
-    ds = smooth(d)
-    ds = pin(ds - (float((ds * gM).sum()) / gM2) * gM)
-    moved = False
-    for k, dhat in enumerate((_unit(ds), _unit(d), _rigid_shift(d, free))):
-        if dhat is not None:
-            V, per, step, steps[k] = search(dens, V, M0, per, dhat,
-                                            _first_trial(step0, steps[k]), chord)
-            moved = moved or step > 0.0
-    return V, per, moved
+    ds = smooth(-gP + lam * gM)
+    dhat = _unit(pin(ds - (float((ds * gM).sum()) / gM2) * gM))
+    if dhat is None:
+        return V, per, False
+    V, per, step, steps[0] = search(dens, V, M0, per, dhat, _first_trial(step0, steps[0]), chord)
+    return V, per, step > 0.0
 
 
 def _check_run(M0: float, max_iters: int, tol: float) -> None:
@@ -632,14 +619,14 @@ def _drive(dens: Density, V: np.ndarray, M0: float, max_iters: int, tol: float,
     Stops when the functional's relative decrease over 50 iterations falls
     below tol or after 25 iterations in a row without an accepted step;
     resamples after every 100 accepted steps and then forgets the line
-    searches' memories, as at the start.  Returns (V, functional, mass,
+    search's memory, as at the start.  Returns (V, functional, mass,
     iterations, converged).
     """
     V = project(dens, V, M0)
     per = functional(dens, V)
     iterations = 0
     history = [per]
-    steps = [0.0, 0.0, 0.0]  # line-search memory per search direction
+    steps = [0.0]  # the line search's memory
     stalled = 0
     since_resample = 0
     plateau = False
@@ -662,7 +649,7 @@ def _drive(dens: Density, V: np.ndarray, M0: float, max_iters: int, tol: float,
         if since_resample >= 100:
             V = project(dens, resample(V), M0)
             per = functional(dens, V)
-            steps = [0.0, 0.0, 0.0]
+            steps = [0.0]
             since_resample = 0
     M = mass(dens, V)
     converged = abs(M - M0) <= 1e-8 * M0 and (plateau or stalled >= 25)
@@ -680,8 +667,7 @@ def descent_step(dens: Density, V: np.ndarray, M0: float, per: float,
                  step0: float, steps: list[float]) -> tuple[np.ndarray, float, bool]:
     """One projected-descent iteration of a closed polygon (see _descend)."""
     return _descend(dens, V, M0, per, step0, steps, _perimeter_grad, _mass_grad,
-                    _vertex_normals, functools.partial(_smooth, d=2), lambda g: g, (1.0, 1.0),
-                    _try_direction)
+                    _vertex_normals, functools.partial(_smooth, d=2), lambda g: g, _try_direction)
 
 
 def evolve_2d(dens: Density, M0: float, n: int = 256, max_iters: int = 4000,
@@ -795,7 +781,7 @@ def _rev_step(dens: Density, W: np.ndarray, M0: float, area: float,
               step0: float, steps: list[float]) -> tuple[np.ndarray, float, bool]:
     """One projected-descent iteration of a profile (see _descend)."""
     return _descend(dens, W, M0, area, step0, steps, _rev_area_grad, _rev_mass_grad,
-                    _profile_normals, functools.partial(_smooth, d=3), _pin_poles, (1.0, 0.0),
+                    _profile_normals, functools.partial(_smooth, d=3), _pin_poles,
                     _try_direction_rev)
 
 

@@ -243,14 +243,17 @@ def _solution(dens: Density, s: float, beta: float, M0: float,
     if not (s >= 0.0 and beta >= 0.0):  # a NaN or negative endpoint: the solve failed
         raise NumericError(f"endpoints [{-s}, {beta}] are not a valid interval")
     try:
+        perimeter = s ** dens.p + beta ** dens.p + 2.0 * dens.a
+    except OverflowError:
+        raise NumericError(f"perimeter of [{-s}, {beta}] is past the float range") from None
+    try:
         mass = dens.primitive(s) + dens.primitive(beta)
     except OverflowError:  # an endpoint's power past the float range
         mass = math.inf
     resid = abs(mass - M0) / M0
     if not resid <= MASS_RTOL:
         raise NumericError(f"relative mass residual {resid:.3e} exceeds {MASS_RTOL}")
-    return IntervalSolution(-s, beta, s ** dens.p + beta ** dens.p + 2.0 * dens.a, mass,
-                            branch, _multiplier(dens, beta))
+    return IntervalSolution(-s, beta, perimeter, mass, branch, _multiplier(dens, beta))
 
 
 def solve_general_batch(p: float, a_values, M0: float) -> list[IntervalSolution]:

@@ -213,7 +213,8 @@ def test_acrit_overflow_is_a_one_line_numeric_failure(capsys, argv):
 ], ids=" ".join)
 def test_huge_1d_mass_is_a_one_line_numeric_failure(capsys, argv):
     # near the top of the float range the endpoint (p = 1e-3), or its p-th
-    # power in the perimeter (p = 300), is past it
+    # power in the perimeter (p = 300), is past it; the message names which.
+    # The perimeter once read as a mass miss: "relative mass residual inf"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run_cli(capsys, "solve", "--dim", "1", *argv)
@@ -221,7 +222,10 @@ def test_huge_1d_mass_is_a_one_line_numeric_failure(capsys, argv):
     assert out == ""
     assert [str(w.message) for w in caught] == []
     assert len(err.strip().splitlines()) == 1
-    assert err.startswith("numeric failure: ")
+    cause = {"1e-3": "radial mass inverse has a root past the float range\n",
+             "300": "perimeter of [-9.736"}[argv[1]]
+    assert err.startswith("numeric failure: " + cause)
+    assert err.endswith(" past the float range\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -23,6 +23,8 @@ from isodense import (
 )
 from isodense import Dimension
 import isodense.evolver as ev
+import isodense.spectral as sp
+from isodense.density import critical_offset
 from isodense.evolver import (
     _mass,
     _mass_grad,
@@ -193,7 +195,7 @@ def test_descent_steps_monotone_and_mass_conserving():
     V = _wobbly_curve(n=96, seed=4, center=(0.3, 0.0))
     V = _project_mass(dens, V, M0)
     per = _perimeter(dens, V)
-    steps = [0.0, 0.0, 0.0]
+    steps = [0.0]
     for _ in range(120):
         E = np.roll(V, -1, axis=0) - V
         step0 = 0.1 * float(np.mean(np.hypot(E[:, 0], E[:, 1])))
@@ -206,7 +208,7 @@ def test_descent_steps_monotone_and_mass_conserving():
     # the axisymmetric profile: the poles must stay exactly on the axis
     W = _project_mass_rev(dens, _wobbly_profile(), M0)
     area = _rev_area(dens, W)
-    steps = [0.0, 0.0, 0.0]
+    steps = [0.0]
     moves = 0
     for _ in range(60):
         step0 = 0.1 * float(np.mean(np.hypot(np.diff(W[:, 0]), np.diff(W[:, 1]))))
@@ -354,6 +356,17 @@ def test_line_search_rejects_descending_trials_that_fail_validity(valid_before, 
     assert np.array_equal(Y, V + 1.5) and per == 0.0 and step == 0.5 and len(checked) == 2
 
 
+def test_line_search_accepts_only_a_strict_decrease():
+    # every trial leaves the functional bit-identical: none is accepted, so
+    # a run sitting on a flat functional stalls instead of counting steps
+    V = np.ones((16, 2))
+    Y, per, step, memory = ev._line_search(Density(2, 0.1), V, 1.0, 10.0, np.ones((16, 2)), 0.5,
+                                           None, lambda X: True, lambda dens, X, M0, chord: X,
+                                           lambda dens, X: 10.0)
+    assert Y is V and per == 10.0 and step == 0.0
+    assert 0.0 < memory <= 2e-14
+
+
 @pytest.mark.parametrize("valid", [True, False])
 def test_line_search_tests_an_unmoved_projection_once(valid):
     V, (Y, _, step, _), checked, trials = _search_descending_trials(0.0, valid, valid)
@@ -464,7 +477,7 @@ def test_evolve_2d_matches_closed_form_small(monkeypatch):
     assert report.weighted_perimeter == pytest.approx(ref.perimeter, rel=1e-2)
     assert report.center_offset_estimate == pytest.approx(ref.center_offset, rel=0.05)
     assert abs(report.weighted_mass - 1.0) <= 1e-8
-    # line searches warm-started per direction: a cold start at a tenth of
+    # line searches warm-started: a cold start at a tenth of
     # the mean edge on every search takes 8982 mass-gradient evaluations here
     assert calls[0] <= 8982 * 2 // 3
     # failed searches remember their smallest trial; forgetting it (and
@@ -592,6 +605,8 @@ def test_line_search_projections_take_no_mass_gradient(monkeypatch, evolve, n, g
     assert newton_steps > 0
     assert counts[(grad, False, False)] == iterations
     assert sum(v for (name, *_), v in counts.items() if name == grad) == iterations + newton_steps
+    # one line search per iteration, along the smoothed field
+    assert counts[(search, False, False)] == iterations
 
 
 def test_chord_projection_lands_on_the_mass_and_falls_back_to_newton(monkeypatch):
@@ -646,6 +661,26 @@ def test_radius_estimate_at_tiny_scales(M0):
     report = evolve_2d(dens, M0, n=64)
     R = symmetric_ball(dens, Dimension(2), M0).radius
     assert abs(report.radius_estimate / R - 1.0) <= 1e-3  # pytest.approx would add abs=1e-12
+
+
+@pytest.mark.uncertified_start
+@pytest.mark.parametrize("evolve, a, n, closed_form", [(evolve_2d, 0.05, 256, solve_2d_p2),
+                                                      (evolve_3d_axisym, 0.1, 129, solve_3d_p2)],
+                         ids=["2d", "3d"])
+def test_cold_start_slides_home(monkeypatch, evolve, a, n, closed_form):
+    # with the spectral certificate out of reach the run starts from the
+    # circle fallback: the ball's radius R at sqrt(R**2 - a), far off the
+    # optimum's centre.  The one search along the smoothed field carries
+    # the translation, and the centre slides to sqrt(a_crit - a)
+    monkeypatch.setattr(sp, "KKT_RTOL", 0.0)
+    dens, d = Density(2, a), 2 if evolve is evolve_2d else 3
+    report = evolve(dens, 1.0, n=n)
+    a_crit = critical_offset(2.0, Dimension(d), 1.0)
+    R = symmetric_ball(dens, Dimension(d), 1.0).radius
+    assert math.sqrt(R * R - a) > 1.15 * math.sqrt(a_crit - a)  # the start is far out
+    assert report.converged
+    assert report.center_offset_estimate == pytest.approx(math.sqrt(a_crit - a), rel=1e-3)
+    assert report.weighted_perimeter == pytest.approx(closed_form(a, 1.0).perimeter, rel=1e-6)
 
 
 def test_evolve_3d_centred():

@@ -300,6 +300,12 @@ def _verify_oracle1d(failures: list) -> None:
                 ref = brute_force_oracle(dens, mass, 4000)
                 rel = abs(sol.perimeter - ref.perimeter) / ref.perimeter
                 _check(f"oracle1d p={p} a={a} M={mass}", rel, rel <= 1e-4, failures)
+    # the numerical minimizer against the p = 2 closed form, on both sides of a_crit
+    for a in (0.0, 0.05, 0.3, 1.0):
+        for mass in (0.5, 2.0):
+            sol, ref = solve_general(Density(2.0, a), mass), solve_p2(a, mass)
+            rel = abs(sol.perimeter - ref.perimeter) / ref.perimeter
+            _check(f"closed form p=2 a={a} M={mass}", rel, rel <= 1e-14, failures)
 
 
 def _verify_branch_continuity(failures: list) -> None:

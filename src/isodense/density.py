@@ -125,20 +125,23 @@ class Density:
         return (self.a * (self.p - 1.0)) ** (1.0 / self.p)
 
 
-def radial_mass_inverse(p: float, a, m, d: int = 1) -> np.ndarray:
+def radial_mass_inverse(p: float, a, m, d: int = 1, upper=None) -> np.ndarray:
     """R >= 0 with G_d(R) = R**(p+d)/(p+d) + a*R**d/d = m, elementwise over arrays a and m >= 0.
 
     Newton starts above the root, at min((m*(p+d))**(1/(p+d)), (m*d/a)**(1/d));
     where a product leaves the float range (m*d/a below the normal range
     for a tiny mass over a huge offset, m*(p+d) past it for a huge mass)
     its root is taken one factor at a time; where m*d/a overflows instead,
-    the first start alone, also above the root, serves.  G_d is convex and
-    increasing on R >= 0, so the iterates fall monotonically.  An element
-    freezes at the first step that does not lower it (that step repeats on
-    every later pass), within rounding of its root.  Raises NumericError if
-    some element is still falling after _NEWTON_CAP steps, or if finite a
-    and m give a root past the float range; non-finite a or m give a
-    non-finite R.
+    the first start alone, also above the root, serves.  upper, broadcast
+    against m, replaces that start where it is smaller (a NaN or inf bound
+    is ignored, and a NaN start stays NaN).  It must lie at or above the
+    root, as the root of any larger mass does: a bound below the root is
+    returned unchanged.  G_d is convex and increasing on R >= 0, so the
+    iterates fall monotonically.  An element freezes at the first step that
+    does not lower it (that step repeats on every later pass), within
+    rounding of its root.  Raises NumericError if some element is still
+    falling after _NEWTON_CAP steps, or if finite a and m give a root past
+    the float range; non-finite a or m give a non-finite R.
     """
     m = np.asarray(m, dtype=float)
     a_d, e = a / d, 1.0 / (p + d)
@@ -155,6 +158,8 @@ def radial_mass_inverse(p: float, a, m, d: int = 1) -> np.ndarray:
         else:
             top = top ** e
         R = np.fmin(top, q)
+        if upper is not None:
+            R = np.where(upper < R, upper, R)
         for _ in range(_NEWTON_CAP):
             Rp = R ** p
             # (G_d - m) / G_d' with R**(d-1) divided out of G_d' = R**(d-1) * (R**p + a)

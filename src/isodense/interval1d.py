@@ -29,9 +29,11 @@ from .density import MASS_RTOL, Density, Dimension, check_mass, critical_offset,
 from .numerics import NumericError
 
 # Section search: nodes per bracket, and enough passes to narrow the bracket
-# below 1e-12 * s_sym, since each pass keeps at most two of its cells.
+# below 2**-26 * s_sym, since each pass keeps at most two of its cells.  The
+# objective is flat to rounding within about sqrt(eps) ~ 2**-26 of its minimum,
+# so narrower brackets sharpen no endpoint.
 _SECTIONS = 32
-_SECTION_ITERS = math.ceil(math.log(1e-12) / math.log(2.0 / _SECTIONS))
+_SECTION_ITERS = math.ceil(-26.0 / math.log2(2.0 / _SECTIONS))
 _TIE_RTOL = 1e-14  # above the rounding noise of the scaled objective, ~(p+1) ulps
 _BLOCK = 512  # offsets solved together; bounds the working memory of a long sweep
 
@@ -262,9 +264,15 @@ def solve_general_batch(p: float, a_values, M0: float) -> list[IntervalSolution]
     With s = |alpha|, the mass constraint gives beta(s) by the Newton
     primitive inverse, and s**p + beta**p is minimized over s in [0, s_sym]
     (s_sym the symmetric half-width) by a 32-point section search that keeps
-    the two cells around the best node until they span under 1e-12 * s_sym.
-    The exact s = 0 and symmetric candidates are always probed as well.
-    Offsets go in blocks of _BLOCK; no row's result depends on the others.
+    the two cells around the best node until they span under 2**-26 * s_sym.
+    Within about sqrt(eps) * s_sym of its minimum the objective is flat to
+    rounding, so the endpoints are resolved to about 1e-7 * s_sym (eight
+    digits) while the perimeter is good to rounding.  Each pass after the
+    first starts every Newton inverse of a row at that row's beta at its
+    bracket's left end: beta falls as s rises, so it lies above each root in
+    the bracket.  The exact s = 0 and symmetric candidates are always probed
+    as well.  Offsets go in blocks of _BLOCK; no row's result depends on the
+    others.
     """
     check_mass(M0)
     a = np.asarray(a_values, dtype=float).reshape(-1)
@@ -275,20 +283,24 @@ def solve_general_batch(p: float, a_values, M0: float) -> list[IntervalSolution]
     s_sym = radial_mass_inverse(p, a, 0.5 * M0)
     col_a, col_s = a[:, None], s_sym[:, None]
 
-    def objective(t):
+    def objective(t, upper=None):
         # (s**p + beta**p) / s_sym**p at s = t * s_sym, without the 2a that would swamp it
         s = t * col_s
-        beta = radial_mass_inverse(p, col_a, M0 - (s ** (p + 1.0) / (p + 1.0) + col_a * s))
+        m = M0 - (s ** (p + 1.0) / (p + 1.0) + col_a * s)
+        beta = radial_mass_inverse(p, col_a, m, upper=upper)
         return t ** p + (beta / col_s) ** p, beta
 
     rows = np.arange(a.size)
-    lo, hi = np.zeros(a.size), np.ones(a.size)
+    lo, hi, beta_lo = np.zeros(a.size), np.ones(a.size), None
     # near the top of the float range s_sym or beta overflow; _solution refuses the row
     with np.errstate(all="ignore"):
         for _ in range(_SECTION_ITERS):
             t = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, _SECTIONS + 1)
-            i = np.argmin(objective(t)[0], axis=1)
-            lo, hi = t[rows, np.maximum(i - 1, 0)], t[rows, np.minimum(i + 1, _SECTIONS)]
+            per, betas = objective(t, beta_lo)
+            i = np.argmin(per, axis=1)
+            left = np.maximum(i - 1, 0)
+            lo, hi = t[rows, left], t[rows, np.minimum(i + 1, _SECTIONS)]
+            beta_lo = betas[rows, left][:, None]
         # the exact s = 0, then symmetric, candidates win ties within rounding (flat near a_crit)
         cand = np.stack([np.zeros(a.size), np.ones(a.size), t[rows, i]], axis=1)
         per, betas = objective(cand)
@@ -416,7 +428,11 @@ def contour_grid(dens: Density, alpha_max: float, beta_max: float, n: int) -> Co
     b = np.linspace(0.0, beta_max, n)
     S, B = np.meshgrid(s, b, indexing="ij")
     per = S ** p + B ** p + 2.0 * a
-    mass = (S ** (p + 1.0) + B ** (p + 1.0)) / (p + 1.0) + a * (S + B)
+    head = (S ** (p + 1.0) + B ** (p + 1.0)) / (p + 1.0)
+    if head.max() == math.inf:  # the sum (or a power) overflowed; there, divide first
+        head = np.where(head == math.inf, S * (S ** p / (p + 1.0)) + B * (B ** p / (p + 1.0)),
+                        head)
+    mass = head + a * (S + B)
     return ContourGrid(s, b, per, mass)
 
 

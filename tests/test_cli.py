@@ -490,6 +490,26 @@ def test_contour_nonfinite_grid_is_a_one_line_numeric_failure(tmp_path, capsys, 
     assert err == f"numeric failure: contour grid: {columns} not finite\n"
 
 
+@pytest.mark.parametrize("mass", ["5e307", "7.5e307"])
+def test_contour_at_a_mass_whose_sum_of_powers_overflows(capsys, mass):
+    # S**3 + B**3 (at 7.5e307 also S**3) passes the float range, though every grid mass fits
+    from isodense import Density
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "contour", "--p", "2", "--a", "0.5",
+                                 "--mass", mass, "--grid", "5")
+    assert code == 0 and err == ""
+    assert [str(w.message) for w in caught] == []
+    rows = [list(map(float, line.split(","))) for line in out.splitlines()[1:]]
+    assert len(rows) == 25
+    F = Density(2.0, 0.5).primitive
+    for s, b, per, mass, _ in rows:
+        assert math.isfinite(per) and mass == pytest.approx(F(s) + F(b), rel=1e-11)
+    assert max(r[3] for r in rows) > 1e308  # the corner, 2.3 times the mass
+    assert sum(r[4] for r in rows) > 0  # the constraint line is flagged
+
+
 def test_evolve_smoke_and_curve_csv(tmp_path, capsys):
     out_file = tmp_path / "curve.csv"
     code, out, _ = run_cli(capsys, "evolve", "--dim", "2", "--p", "2", "--a", "1",
@@ -535,6 +555,12 @@ def test_verify_fast_suites(capsys):
         assert code == 0, out
         assert "all checks passed" in out
         assert "FAIL" not in out
+
+
+def test_verify_oracle1d_checks_the_minimizer_against_the_p2_closed_form(capsys):
+    _, out, _ = run_cli(capsys, "verify", "oracle1d")
+    rows = [line for line in out.splitlines() if "closed form p=2" in line]
+    assert len(rows) == 8 and all(r.startswith("  [PASS]") for r in rows)
 
 
 def test_verify_spectral(capsys):

@@ -293,6 +293,84 @@ def test_newton_inverse_cap_is_numeric_failure(monkeypatch):
         radial_mass_inverse(4.0, 0.3, 1.0)
 
 
+def _inverse_cases(seed, n=4000):
+    """Random (p, a, m) arrays, a tenth of the offsets 0, with each row's cold root and start."""
+    rng = np.random.default_rng(seed)
+    p = float(rng.uniform(0.5, 12.0))
+    a = np.where(rng.random(n) < 0.1, 0.0, 10.0 ** rng.uniform(-6.0, 6.0, n))
+    m = 10.0 ** rng.uniform(-6.0, 6.0, n)
+    e = 1.0 / (p + 1.0)
+    with np.errstate(divide="ignore"):  # m/a is inf at a = 0, and fmin drops it
+        start = np.fmin((m * (p + 1.0)) ** e, m / a)
+    return rng, p, a, m, radial_mass_inverse(p, a, m), start
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bounded_inverse_at_or_above_the_start_is_the_cold_inverse(seed):
+    _, p, a, m, cold, start = _inverse_cases(seed)
+    for upper in (start, np.nextafter(start, np.inf), 2.0 * start, np.inf):
+        assert np.array_equal(radial_mass_inverse(p, a, m, upper=upper), cold)
+
+
+def _ulps(x, ref):
+    return np.abs(x - ref) / np.spacing(ref)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bounded_inverse_keeps_the_roots(seed):
+    rng, p, a, m, cold, start = _inverse_cases(seed)
+    # a root of a larger mass, as the section search passes: within 2 ulps of the cold root
+    larger = radial_mass_inverse(p, a, m * (1.0 + 0.1 * rng.random(m.size)))
+    for upper in (cold, larger):
+        assert _ulps(radial_mass_inverse(p, a, m, upper=upper), cold).max() <= 2.0
+    # any bound between the root and the start: each lands within 2 ulps of the true root
+    upper = cold + rng.random(m.size) * (start - cold)
+    assert _ulps(radial_mass_inverse(p, a, m, upper=upper), cold).max() <= 4.0
+
+
+def test_bounded_inverse_ignores_nan_and_inf_bounds():
+    _, p, a, m, cold, _ = _inverse_cases(7, n=6)
+    upper = np.array([np.nan, np.inf, np.nan, np.inf, np.nan, np.inf])
+    assert np.array_equal(radial_mass_inverse(p, a, m, upper=upper), cold)
+    # a NaN mass keeps its NaN root under a finite bound
+    assert math.isnan(radial_mass_inverse(2.0, 0.5, math.nan, upper=1.0))
+
+
+@pytest.mark.parametrize("p", [1.5, 4.0, 9.0])
+def test_section_passes_after_the_first_start_below_each_row_bound(monkeypatch, p):
+    bounded = []
+
+    def spy(p_, a, m, d=1, upper=None):
+        R = radial_mass_inverse(p_, a, m, d, upper=upper)
+        if upper is not None:
+            bounded.append(bool(np.all(R <= upper)))
+        return R
+
+    monkeypatch.setattr(interval1d, "radial_mass_inverse", spy)
+    solve_general_batch(p, [0.0, 0.05, 0.2, 0.5, 3.0], 1.0)
+    # beta at a bracket's left end lies at or above every root in the bracket
+    assert bounded == [True] * (interval1d._SECTION_ITERS - 1)
+
+
+def test_section_passes_stop_at_sqrt_eps():
+    S, iters = interval1d._SECTIONS, interval1d._SECTION_ITERS
+    assert (2.0 / S) ** iters <= 2.0 ** -26 < (2.0 / S) ** (iters - 1)
+
+
+@pytest.mark.parametrize("M0", [0.3, 1.0, 3.0])
+def test_forced_numeric_p2_matches_closed_form(M0):
+    # the perimeter to rounding; the endpoints to the search's resolution, 1e-6 * s_sym
+    from isodense.density import Dimension, critical_offset
+    avals = np.linspace(0.0, 1.2 * critical_offset(2.0, Dimension(1), M0), 121)
+    for a, sol in zip(avals.tolist(), solve_general_batch(2.0, avals, M0)):
+        ref = solve_p2(a, M0)
+        s_sym = float(radial_mass_inverse(2.0, a, 0.5 * M0))
+        assert abs(sol.perimeter - ref.perimeter) <= 1e-14 * ref.perimeter
+        assert abs(sol.alpha - ref.alpha) <= 1e-6 * s_sym
+        assert abs(sol.beta - ref.beta) <= 1e-6 * s_sym
+        assert sol.branch is ref.branch
+
+
 def test_batches_split_into_blocks_without_changing_rows(monkeypatch):
     avals = [0.0, 0.1, 0.2, 0.3165, 0.5, 2.0, 1e3]
     whole = solve_general_batch(4.0, avals, 1.0)
@@ -407,6 +485,16 @@ def test_contour_grid_corner_and_symmetry():
     assert np.allclose(g.mass, g.mass.T)
     with pytest.raises(ValueError):
         contour_grid(dens, 1.0, 1.0, 1)
+
+
+@pytest.mark.parametrize("p, a, mass", [(2.0, 0.5, 2e307), (4.0, 0.3, 1.0), (0.5, 0.0, 1e300)])
+def test_contour_grid_mass_keeps_its_bits_where_the_sum_fits(p, a, mass):
+    dens = Density(p, a)
+    extent = 1.05 * float(radial_mass_inverse(p, a, mass))
+    g = contour_grid(dens, extent, extent, 40)
+    S, B = np.meshgrid(g.alpha_abs, g.beta, indexing="ij")
+    summed = (S ** (p + 1.0) + B ** (p + 1.0)) / (p + 1.0) + a * (S + B)
+    assert np.array_equal(g.mass, summed)
 
 
 def test_contour_p1_constraint_is_a_circle():

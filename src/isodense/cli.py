@@ -306,6 +306,9 @@ def _verify_oracle1d(failures: list) -> None:
             sol, ref = solve_general(Density(2.0, a), mass), solve_p2(a, mass)
             rel = abs(sol.perimeter - ref.perimeter) / ref.perimeter
             _check(f"closed form p=2 a={a} M={mass}", rel, rel <= 1e-14, failures)
+            s_sym = float(radial_mass_inverse(2.0, a, 0.5 * mass))
+            err = max(abs(sol.alpha - ref.alpha), abs(sol.beta - ref.beta)) / s_sym
+            _check(f"endpoints p=2 a={a} M={mass}", err, err <= 1e-12, failures)
 
 
 def _verify_branch_continuity(failures: list) -> None:

@@ -5,7 +5,9 @@ checked against its cubic closed form).  For p = 2 the translation rule
 gives it: under x**2 + a, moving an interval by c has the effect of
 raising the offset to a + c**2, so the optimum is a symmetric interval
 moved off the origin.  A constrained numerical minimizer covers every
-other exponent, and an exhaustive grid oracle cross-checks them all.
+other exponent: a section search brackets the left endpoint, and Newton's
+method on the first-order condition for the endpoints resolves it.  An
+exhaustive grid oracle cross-checks them all.
 The module also carries the multi-interval reduction (each half-line's
 mass gathered into one interval from the origin) and the contour-grid
 generator used to visualize the perimeter/mass landscape over the two
@@ -28,12 +30,13 @@ import numpy as np
 from .density import MASS_RTOL, Density, Dimension, check_mass, critical_offset, radial_mass_inverse
 from .numerics import NumericError
 
-# Section search: nodes per bracket, and enough passes to narrow the bracket
-# below 2**-26 * s_sym, since each pass keeps at most two of its cells.  The
-# objective is flat to rounding within about sqrt(eps) ~ 2**-26 of its minimum,
-# so narrower brackets sharpen no endpoint.
+# Section search: nodes per bracket, and passes; each keeps at most two of its
+# cells, so three leave a bracket of (2/32)**3 = 2**-12 * s_sym.  Then at most
+# _ROOT_ITERS Newton steps on the endpoint condition: bisection alone narrows
+# that bracket to an ulp of s_sym in 41.
 _SECTIONS = 32
-_SECTION_ITERS = math.ceil(-26.0 / math.log2(2.0 / _SECTIONS))
+_SECTION_ITERS = 3
+_ROOT_ITERS = 64
 _TIE_RTOL = 1e-14  # above the rounding noise of the scaled objective, ~(p+1) ulps
 _BLOCK = 512  # offsets solved together; bounds the working memory of a long sweep
 
@@ -263,16 +266,25 @@ def solve_general_batch(p: float, a_values, M0: float) -> list[IntervalSolution]
 
     With s = |alpha|, the mass constraint gives beta(s) by the Newton
     primitive inverse, and s**p + beta**p is minimized over s in [0, s_sym]
-    (s_sym the symmetric half-width) by a 32-point section search that keeps
-    the two cells around the best node until they span under 2**-26 * s_sym.
-    Within about sqrt(eps) * s_sym of its minimum the objective is flat to
-    rounding, so the endpoints are resolved to about 1e-7 * s_sym (eight
-    digits) while the perimeter is good to rounding.  Each pass after the
-    first starts every Newton inverse of a row at that row's beta at its
-    bracket's left end: beta falls as s rises, so it lies above each root in
-    the bracket.  The exact s = 0 and symmetric candidates are always probed
-    as well.  Offsets go in blocks of _BLOCK; no row's result depends on the
-    others.
+    (s_sym the symmetric half-width).  Three passes of a 32-point section
+    search, each keeping the two cells around the best node, bracket the
+    minimizer to 2**-12 * s_sym.  Inside the bracket a safeguarded Newton
+    iteration solves the first-order condition h(s) = h(beta), with
+    h(r) = r**(p-1) / rho(r), written as log h(s) - log h(beta) = 0 in log s:
+    next to the origin, where the minimizer sits for p close to 1, that is
+    nearly linear.  Its sign is the sign of the perimeter's slope in s, so
+    each step narrows the bracket (a bracket end where the sign puts the root
+    outside, as where the objective is flat to rounding, first moves to 0 or
+    s_sym); a step that leaves the bracket, or is not a number, bisects it
+    instead.  A row freezes once its step stops moving, or where the
+    condition is not a number (a power past the float range).  Each row
+    keeps its best point, a later one winning ties within rounding, so the
+    endpoints are resolved to rounding and no row ends above its section
+    node.  Every Newton inverse of a row after the first pass starts
+    at that row's beta at its bracket's left end: beta falls as s rises, so
+    it lies above each root in the bracket.  The exact s = 0 and symmetric
+    candidates are always probed as well.  Offsets go in blocks of _BLOCK; no
+    row's result depends on the others.
     """
     check_mass(M0)
     a = np.asarray(a_values, dtype=float).reshape(-1)
@@ -281,29 +293,72 @@ def solve_general_batch(p: float, a_values, M0: float) -> list[IntervalSolution]
                 for sol in solve_general_batch(p, a[k:k + _BLOCK], M0)]
     dens = [Density(p, ak) for ak in a.tolist()]  # validates p and every offset
     s_sym = radial_mass_inverse(p, a, 0.5 * M0)
-    col_a, col_s = a[:, None], s_sym[:, None]
 
-    def objective(t, upper=None):
-        # (s**p + beta**p) / s_sym**p at s = t * s_sym, without the 2a that would swamp it
-        s = t * col_s
-        m = M0 - (s ** (p + 1.0) / (p + 1.0) + col_a * s)
-        beta = radial_mass_inverse(p, col_a, m, upper=upper)
-        return t ** p + (beta / col_s) ** p, beta
+    def beta_at(t, a, s_sym, upper=None):
+        # beta at s = t * s_sym, from the mass constraint
+        s = t * s_sym
+        return radial_mass_inverse(p, a, M0 - (s ** (p + 1.0) / (p + 1.0) + a * s), upper=upper)
+
+    def scaled(t, beta, s_sym):
+        # (s**p + beta**p) / s_sym**p, without the 2a that would swamp it
+        return t ** p + (beta / s_sym) ** p
+
+    def condition(t, beta, s_sym, a):
+        # log h(s) - log h(beta) and its derivative in log s, from d(log h)/d(log r) =
+        # p - 1 - p * r**p / rho(r) and d(log beta)/d(log s) = -s*rho(s) / (beta*rho(beta))
+        s = t * s_sym
+        s_p, beta_p = s ** p, beta ** p
+        rho_s, rho_beta = s_p + a, beta_p + a
+        f = (p - 1.0) * np.log(s / beta) - np.log(rho_s / rho_beta)
+        return f, (p - 1.0 - p * s_p / rho_s
+                   + (p - 1.0 - p * beta_p / rho_beta) * (s * rho_s) / (beta * rho_beta))
 
     rows = np.arange(a.size)
     lo, hi, beta_lo = np.zeros(a.size), np.ones(a.size), None
     # near the top of the float range s_sym or beta overflow; _solution refuses the row
     with np.errstate(all="ignore"):
-        for _ in range(_SECTION_ITERS):
+        for n in range(_SECTION_ITERS):
             t = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, _SECTIONS + 1)
-            per, betas = objective(t, beta_lo)
+            betas = beta_at(t, a[:, None], s_sym[:, None], beta_lo)
+            per = scaled(t, betas, s_sym[:, None])
+            if n == 0:  # the exact s = 0 and symmetric candidates
+                ends_per, ends_beta = per[:, [0, -1]], betas[:, [0, -1]]
             i = np.argmin(per, axis=1)
-            left = np.maximum(i - 1, 0)
-            lo, hi = t[rows, left], t[rows, np.minimum(i + 1, _SECTIONS)]
+            left, right = np.maximum(i - 1, 0), np.minimum(i + 1, _SECTIONS)
+            lo, hi = t[rows, left], t[rows, right]
             beta_lo = betas[rows, left][:, None]
+        # where the objective is flat to rounding the best node's cells can miss the root:
+        # a bracket end whose finite condition puts the root outside moves to 0 or 1
+        f_lo = condition(lo, beta_lo[:, 0], s_sym, a)[0]
+        f_hi = condition(hi, betas[rows, right], s_sym, a)[0]
+        out_lo, out_hi = (f_lo > 0.0) & np.isfinite(f_lo), (f_hi < 0.0) & np.isfinite(f_hi)
+        lo, beta_lo = np.where(out_lo, 0.0, lo), np.where(out_lo, ends_beta[:, 0], beta_lo[:, 0])
+        hi = np.where(out_hi, 1.0, hi)
+        t, beta = t[rows, i], betas[rows, i]
+        t_best, per_best, beta_best = t.copy(), per[rows, i], beta.copy()
+        live = np.ones(a.size, dtype=bool)
+        for _ in range(_ROOT_ITERS):
+            f, df = condition(t, beta, s_sym, a)
+            falling, rising = f < 0.0, f > 0.0
+            lo, beta_lo = np.where(live & falling, t, lo), np.where(live & falling, beta, beta_lo)
+            hi = np.where(live & rising, t, hi)
+            newton = t * np.exp(-f / df)
+            step = np.where((lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
+            # a row stops at a root, where the condition is NaN, or once neither step moves it
+            live &= (falling | rising) & (newton != t) & (step != t)
+            if not live.any():
+                break
+            t = np.where(live, step, t)
+            k = np.flatnonzero(live)
+            beta[k] = beta_at(t[k], a[k], s_sym[k], beta_lo[k])
+            per_k = scaled(t[k], beta[k], s_sym[k])
+            won = per_k <= per_best[k] * (1.0 + _TIE_RTOL)
+            k = k[won]
+            t_best[k], per_best[k], beta_best[k] = t[k], per_k[won], beta[k]
         # the exact s = 0, then symmetric, candidates win ties within rounding (flat near a_crit)
-        cand = np.stack([np.zeros(a.size), np.ones(a.size), t[rows, i]], axis=1)
-        per, betas = objective(cand)
+        cand = np.column_stack([np.zeros(a.size), np.ones(a.size), t_best])
+        per = np.column_stack([ends_per, per_best])
+        betas = np.column_stack([ends_beta, beta_best])
         pick = np.argmax(per <= per.min(axis=1, keepdims=True) * (1.0 + _TIE_RTOL), axis=1)
         s_best, beta = (cand[rows, pick] * s_sym).tolist(), betas[rows, pick].tolist()
     out = []

@@ -561,6 +561,9 @@ def test_verify_oracle1d_checks_the_minimizer_against_the_p2_closed_form(capsys)
     _, out, _ = run_cli(capsys, "verify", "oracle1d")
     rows = [line for line in out.splitlines() if "closed form p=2" in line]
     assert len(rows) == 8 and all(r.startswith("  [PASS]") for r in rows)
+    # and its endpoints, to 1e-12 * s_sym
+    rows = [line for line in out.splitlines() if "endpoints p=2" in line]
+    assert len(rows) == 8 and all(r.startswith("  [PASS]") for r in rows)
 
 
 def test_verify_spectral(capsys):

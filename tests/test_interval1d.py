@@ -336,39 +336,124 @@ def test_bounded_inverse_ignores_nan_and_inf_bounds():
     assert math.isnan(radial_mass_inverse(2.0, 0.5, math.nan, upper=1.0))
 
 
-@pytest.mark.parametrize("p", [1.5, 4.0, 9.0])
-def test_section_passes_after_the_first_start_below_each_row_bound(monkeypatch, p):
-    bounded = []
+def _spy_inverse(monkeypatch):
+    """Record (shape of the roots, bounded, every root at or below its bound) per inverse call."""
+    calls = []
 
     def spy(p_, a, m, d=1, upper=None):
         R = radial_mass_inverse(p_, a, m, d, upper=upper)
-        if upper is not None:
-            bounded.append(bool(np.all(R <= upper)))
+        calls.append((np.shape(R), upper is not None, upper is None or bool(np.all(R <= upper))))
         return R
 
     monkeypatch.setattr(interval1d, "radial_mass_inverse", spy)
-    solve_general_batch(p, [0.0, 0.05, 0.2, 0.5, 3.0], 1.0)
-    # beta at a bracket's left end lies at or above every root in the bracket
-    assert bounded == [True] * (interval1d._SECTION_ITERS - 1)
+    return calls
 
 
-def test_section_passes_stop_at_sqrt_eps():
-    S, iters = interval1d._SECTIONS, interval1d._SECTION_ITERS
-    assert (2.0 / S) ** iters <= 2.0 ** -26 < (2.0 / S) ** (iters - 1)
+@pytest.mark.parametrize("p", [1.05, 1.5, 4.0, 9.0])
+def test_bounded_inverses_stay_at_or_below_their_bounds(monkeypatch, p):
+    calls = _spy_inverse(monkeypatch)
+    avals = [0.0, 1e-3, 0.05, 0.2, 0.5, 3.0]
+    solve_general_batch(p, avals, 1.0)
+    # s_sym and the first section pass start cold; the later passes (33 nodes a row)
+    # and every Newton step (one column of the rows still moving) start at the row's
+    # beta at its bracket's left end, which lies at or above every root in the bracket
+    assert [c[:2] for c in calls[:2]] == [((len(avals),), False), ((len(avals), 33), False)]
+    passes, steps = calls[2:interval1d._SECTION_ITERS + 1], calls[interval1d._SECTION_ITERS + 1:]
+    assert [c[:2] for c in passes] == [((len(avals), 33), True)] * (interval1d._SECTION_ITERS - 1)
+    assert steps and all(len(shape) == 1 and bounded for shape, bounded, _ in steps)
+    assert all(below for _, _, below in calls)
+
+
+def test_solver_counts(monkeypatch):
+    # deterministic kernel counts: three section passes of 33 nodes a row, then a
+    # few Newton steps on the endpoint condition
+    calls = _spy_inverse(monkeypatch)
+    solve_general(Density(4, 0.2), 1.0)
+    assert len(calls) <= 9
+    for p in (1.5, 4.0):
+        calls.clear()
+        solve_general_batch(p, np.linspace(0.0, 1.0, 300), 1.0)
+        assert sum(len(shape) == 2 for shape, _, _ in calls) == 3
+        assert all(shape[-1] == 33 for shape, _, _ in calls if len(shape) == 2)
 
 
 @pytest.mark.parametrize("M0", [0.3, 1.0, 3.0])
 def test_forced_numeric_p2_matches_closed_form(M0):
-    # the perimeter to rounding; the endpoints to the search's resolution, 1e-6 * s_sym
+    # the perimeter and the endpoints to rounding
     from isodense.density import Dimension, critical_offset
     avals = np.linspace(0.0, 1.2 * critical_offset(2.0, Dimension(1), M0), 121)
     for a, sol in zip(avals.tolist(), solve_general_batch(2.0, avals, M0)):
         ref = solve_p2(a, M0)
         s_sym = float(radial_mass_inverse(2.0, a, 0.5 * M0))
         assert abs(sol.perimeter - ref.perimeter) <= 1e-14 * ref.perimeter
-        assert abs(sol.alpha - ref.alpha) <= 1e-6 * s_sym
-        assert abs(sol.beta - ref.beta) <= 1e-6 * s_sym
+        assert abs(sol.alpha - ref.alpha) <= 1e-13 * s_sym
+        assert abs(sol.beta - ref.beta) <= 1e-13 * s_sym
         assert sol.branch is ref.branch
+
+
+def _h(p, a, r):
+    return r ** (p - 1.0) / (r ** p + a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.floats(1.0, 8.0, exclude_min=True), st.lists(st.floats(0.0, 3.0), min_size=1, max_size=8),
+       st.floats(1e-3, 1e3))
+def test_asymmetric_rows_meet_the_endpoint_condition(p, avals, M0):
+    # stationarity of the perimeter at fixed mass: h(|alpha|) = h(beta)
+    for a, sol in zip(avals, solve_general_batch(p, avals, M0)):
+        F = Density(p, a).primitive
+        assert abs(F(-sol.alpha) + F(sol.beta) - M0) <= density.MASS_RTOL * M0
+        if sol.branch is IntervalBranch.ASYMMETRIC:
+            h_beta = _h(p, a, sol.beta)
+            assert abs(_h(p, a, -sol.alpha) - h_beta) <= 1e-12 * h_beta
+
+
+def _section_reference(p, a, M0, passes):
+    """Perimeters from the 32-point section search over s in [0, s_sym], run to (1/16)**passes.
+
+    The best node then meets the exact s = 0 and symmetric candidates, which win
+    ties within rounding, and is classified and snapped to its branch as the solver does.
+    """
+    s_sym = radial_mass_inverse(p, a, 0.5 * M0)
+    rows, col_a, col_s = np.arange(a.size), a[:, None], s_sym[:, None]
+
+    def objective(t):
+        s = t * col_s
+        beta = radial_mass_inverse(p, col_a, M0 - (s ** (p + 1.0) / (p + 1.0) + col_a * s))
+        return t ** p + (beta / col_s) ** p, beta
+
+    lo, hi = np.zeros(a.size), np.ones(a.size)
+    for _ in range(passes):
+        t = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, 33)
+        i = np.argmin(objective(t)[0], axis=1)
+        lo, hi = t[rows, np.maximum(i - 1, 0)], t[rows, np.minimum(i + 1, 32)]
+    cand = np.stack([np.zeros(a.size), np.ones(a.size), t[rows, i]], axis=1)
+    per, beta = objective(cand)
+    pick = np.argmax(per <= per.min(axis=1, keepdims=True) * (1.0 + interval1d._TIE_RTOL), axis=1)
+    out = []
+    for k in rows:
+        s, b = cand[k, pick[k]] * s_sym[k], beta[k, pick[k]]
+        branch = interval1d._classify(s, b)
+        if branch is IntervalBranch.SYMMETRIC:
+            s = b = s_sym[k]
+        elif branch is IntervalBranch.AT_ORIGIN:
+            s, b = 0.0, beta[k, 0]
+        out.append(s ** p + b ** p + 2.0 * a[k])
+    return out
+
+
+@pytest.mark.parametrize("p", [1.01, 1.05, 1.1, 1.2, 1.35, 1.5, 6.0, 20.0])
+@pytest.mark.parametrize("M0", [0.01, 1.0, 100.0])
+def test_no_row_above_a_fine_section_search(p, M0):
+    # next to p = 1 the minimizer sits in the first cell, by the origin, where h
+    # is steepest; the solver must not land above a search run to 2**-40 * s_sym
+    from isodense.density import Dimension, critical_offset
+    a_crit = critical_offset(p, Dimension(1), M0)
+    avals = np.concatenate([np.linspace(0.0, 1.5 * a_crit, 61),
+                            a_crit * np.array([1.0 - 1e-9, 1.0 + 1e-9])])
+    ref = _section_reference(p, avals, M0, passes=10)
+    for sol, r in zip(solve_general_batch(p, avals, M0), ref):
+        assert sol.perimeter <= r * (1.0 + 1e-14)
 
 
 def test_batches_split_into_blocks_without_changing_rows(monkeypatch):

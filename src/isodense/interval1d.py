@@ -276,8 +276,9 @@ def solve_general_batch(p: float, a_values, M0: float) -> list[IntervalSolution]
     each step narrows the bracket (a bracket end where the sign puts the root
     outside, as where the objective is flat to rounding, first moves to 0 or
     s_sym); a step that leaves the bracket, or is not a number, bisects it
-    instead.  A row freezes once its step stops moving, or where the
-    condition is not a number (a power past the float range).  Each row
+    instead.  A row freezes once its step stops moving, where the condition
+    is not a number (a power past the float range), or where Newton puts the
+    root below the float range; at a = 0 no step is taken.  Each row
     keeps its best point, a later one winning ties within rounding, so the
     endpoints are resolved to rounding and no row ends above its section
     node.  Every Newton inverse of a row after the first pass starts
@@ -336,7 +337,7 @@ def solve_general_batch(p: float, a_values, M0: float) -> list[IntervalSolution]
         hi = np.where(out_hi, 1.0, hi)
         t, beta = t[rows, i], betas[rows, i]
         t_best, per_best, beta_best = t.copy(), per[rows, i], beta.copy()
-        live = np.ones(a.size, dtype=bool)
+        live = a > 0.0  # at a = 0, h(r) = 1/r: the perimeter rises on [0, s_sym) and s = 0 wins
         for _ in range(_ROOT_ITERS):
             f, df = condition(t, beta, s_sym, a)
             falling, rising = f < 0.0, f > 0.0
@@ -344,8 +345,9 @@ def solve_general_batch(p: float, a_values, M0: float) -> list[IntervalSolution]
             hi = np.where(live & rising, t, hi)
             newton = t * np.exp(-f / df)
             step = np.where((lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
-            # a row stops at a root, where the condition is NaN, or once neither step moves it
-            live &= (falling | rising) & (newton != t) & (step != t)
+            # a row stops at a root, where the condition is NaN, once neither step moves it, or
+            # where Newton's root underflows (below the float range, s = 0 is the minimizer)
+            live &= (falling | rising) & (newton != t) & (newton != 0.0) & (step != t)
             if not live.any():
                 break
             t = np.where(live, step, t)

@@ -375,6 +375,14 @@ def test_solver_counts(monkeypatch):
         solve_general_batch(p, np.linspace(0.0, 1.0, 300), 1.0)
         assert sum(len(shape) == 2 for shape, _, _ in calls) == 3
         assert all(shape[-1] == 33 for shape, _, _ in calls if len(shape) == 2)
+    # at a = 0 the perimeter rises on [0, s_sym): no Newton step; next to p = 1 a
+    # root below the float range stops the row long before the cap on its steps
+    calls.clear()
+    solve_general(Density(300, 0.0), 1.0)
+    assert len(calls) == 1 + interval1d._SECTION_ITERS
+    calls.clear()
+    assert solve_general(Density(1.01, 1e-6), 1.0).branch is IntervalBranch.AT_ORIGIN
+    assert len(calls) < 1 + interval1d._SECTION_ITERS + interval1d._ROOT_ITERS // 2
 
 
 @pytest.mark.parametrize("M0", [0.3, 1.0, 3.0])

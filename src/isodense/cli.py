@@ -354,7 +354,7 @@ def _verify_radial_quadrature(failures: list) -> None:
         area, mass3 = offcenter_p2_3d(R, r0, a)
         area_q, mass3_q = offcenter_quadrature_3d(dens, R, r0)
         worst = max(worst, abs(area - area_q) / area, abs(mass3 - mass3_q) / mass3)
-    _check("off-centre closed forms vs quadrature", worst, worst <= 1e-8, failures)
+    _check("off-centre closed forms vs quadrature", worst, worst <= 1e-13, failures)
 
 
 def _verify_evolver_p2(failures: list) -> None:

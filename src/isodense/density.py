@@ -25,6 +25,8 @@ from typing import Optional
 
 import numpy as np
 
+from .numerics import NumericError
+
 __all__ = [
     "MASS_RTOL",
     "Density",
@@ -176,9 +178,6 @@ def radial_mass_inverse(p: float, a, m, d: int = 1, upper=None) -> np.ndarray:
             R = np.fmin(R, R_new)
         else:
             failure = f"did not settle in {_NEWTON_CAP} Newton steps"
-    # imported here: a top-level import loads numerics (and builds its Gauss-Legendre
-    # tables) first, which raised the peak RSS of `import isodense.cli` by 0.5 MB
-    from .numerics import NumericError
     raise NumericError(f"radial mass inverse {failure}")
 
 

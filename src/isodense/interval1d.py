@@ -284,8 +284,9 @@ def solve_general_batch(p: float, a_values, M0: float) -> list[IntervalSolution]
     node.  Every Newton inverse of a row after the first pass starts
     at that row's beta at its bracket's left end: beta falls as s rises, so
     it lies above each root in the bracket.  The exact s = 0 and symmetric
-    candidates are always probed as well.  Offsets go in blocks of _BLOCK; no
-    row's result depends on the others.
+    candidates are always probed as well; a row is at the origin only where
+    the s = 0 candidate wins, however small the s that beat it.  Offsets go
+    in blocks of _BLOCK; no row's result depends on the others.
     """
     check_mass(M0)
     a = np.asarray(a_values, dtype=float).reshape(-1)
@@ -369,8 +370,8 @@ def solve_general_batch(p: float, a_values, M0: float) -> list[IntervalSolution]
         branch = _classify(s, b)
         if branch is IntervalBranch.SYMMETRIC:
             s = b = float(s_sym[k])
-        elif branch is IntervalBranch.AT_ORIGIN:
-            s, b = 0.0, float(betas[k, 0])
+        elif branch is IntervalBranch.AT_ORIGIN and s > 0.0:  # a positive s beat s = 0
+            branch = IntervalBranch.ASYMMETRIC
         out.append(_solution(d, s, b, M0, branch))
     return out
 

@@ -25,7 +25,8 @@ __all__ = [
     "central_second_diff",
 ]
 
-# Supported Gauss-Legendre orders (enough for every integrand in this package).
+# Supported Gauss-Legendre orders: 4 and 7 for the evolver's fan rule, 16 and 64 for
+# the tests' gauss_legendre oracles.
 GL_NODE_COUNTS = (4, 7, 16, 64)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi

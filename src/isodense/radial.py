@@ -5,9 +5,10 @@ the radial mass equation k_d * G_d(R) = M0 from density.radial_mass_inverse,
 for one offset or a whole sweep of them at once.  The p = 2 optimum
 follows from them by the translation rule (_solve_p2_ball): a constant
 radius while its centre slides toward the origin as the offset a grows.
-The off-centre closed forms, the density-generalized curvature and the
-quadrature versions of the off-centre boundary/mass integrals (checks
-on the p = 2 solvers) live here too.
+The off-centre p = 2 closed forms and the density-generalized curvature
+live here too, with the off-centre circle and sphere integrals for any p
+that check those closed forms: the spectral solver's boundary integrals
+(isodense.spectral) of a boundary of constant radius about (r0, 0).
 
 Note on the centred 3D mass equation: dimensional consistency requires
 M0 = 4*pi*R**3 * (R**p/(p+3) + a/3), matching the generic
@@ -25,7 +26,8 @@ import numpy as np
 
 from .density import (_TINY, MASS_RTOL, Density, Dimension, check_mass, critical_offset,
                       radial_mass_inverse)
-from .numerics import NumericError, gauss_legendre_nodes
+from .numerics import NumericError
+from .spectral import _nodes, _values
 
 __all__ = [
     "BallBranch",
@@ -41,6 +43,8 @@ __all__ = [
     "offcenter_quadrature_2d",
     "offcenter_quadrature_3d",
 ]
+
+_BALL_NODES = 32  # spectral nodes of the off-centre integrals
 
 
 class BallBranch(enum.Enum):
@@ -211,53 +215,30 @@ def circle_polar_profile(R: float, r0: float, theta) -> tuple[np.ndarray, np.nda
     return r, r_dot, r_ddot
 
 
-def offcenter_quadrature_2d(dens: Density, R: float, r0: float) -> tuple[float, float]:
-    """Weighted perimeter and mass of an off-centre circle by quadrature.
+def _ball_integrals(d: int, dens: Density, R: float, r0: float) -> tuple[float, float]:
+    """Weighted perimeter and mass of the ball of radius R about (r0, 0), by spectral._values.
 
-    Evaluates the general boundary and area integrals for any p > 0 with
-    tensor 64-point Gauss-Legendre rules; serves as the independent check
-    on the p = 2 closed forms.
+    The boundary r = R about the centre r0: the integrals are exact for
+    p = 2, and for other p converge geometrically in the node count, the
+    slower the nearer the origin lies to the boundary.
     """
     if R <= 0.0:
         raise ValueError("radius must be positive")
-    p, a = dens.p, dens.a
-    x, w = gauss_legendre_nodes(64)
-    theta = math.pi * x          # theta in [-pi, pi]
-    wt = math.pi * w
-    dist = np.sqrt(R * R + r0 * r0 + 2.0 * R * r0 * np.cos(theta))
-    per = float(np.sum(wt * R * (dist ** p + a)))
+    z = np.zeros(_BALL_NODES)
+    z[:2] = R, r0  # the constant term, and the centre in the first-degree slot
+    pp, p0, mp, vol = _values(_nodes(d, _BALL_NODES), dens.p, z)
+    return float(pp + dens.a * p0), float(mp + dens.a * vol)
 
-    q = 0.5 * R * (x + 1.0)      # q in [0, R]
-    wq = 0.5 * R * w
-    Q, T = np.meshgrid(q, theta, indexing="ij")
-    WQ = np.outer(wq, wt)
-    dist2 = np.sqrt(Q * Q + r0 * r0 + 2.0 * Q * r0 * np.cos(T))
-    mass = float(np.sum(WQ * Q * (dist2 ** p + a)))
-    return per, mass
+
+def offcenter_quadrature_2d(dens: Density, R: float, r0: float) -> tuple[float, float]:
+    """Weighted perimeter and mass of a circle at centre distance r0, for any p > 0.
+
+    The check on the p = 2 closed forms: the boundary integrals the
+    spectral solver evaluates at every start.
+    """
+    return _ball_integrals(2, dens, R, r0)
 
 
 def offcenter_quadrature_3d(dens: Density, R: float, r0: float) -> tuple[float, float]:
-    """Weighted surface area and mass of an off-centre sphere by 64-point quadrature."""
-    if R <= 0.0:
-        raise ValueError("radius must be positive")
-    p, a = dens.p, dens.a
-    x, w = gauss_legendre_nodes(64)
-    theta = math.pi * x
-    wt = math.pi * w
-    phi = 0.5 * math.pi * (x + 1.0)
-    wp = 0.5 * math.pi * w
-
-    TH, PH = np.meshgrid(theta, phi, indexing="ij")
-    WS = np.outer(wt, wp)
-    dist = np.sqrt(R * R + r0 * r0 + 2.0 * R * r0 * np.sin(PH) * np.cos(TH))
-    area = float(np.sum(WS * R * R * np.sin(PH) * (dist ** p + a)))
-
-    q = 0.5 * R * (x + 1.0)
-    wq = 0.5 * R * w
-    Q = q[:, None, None]
-    TH3 = theta[None, :, None]
-    PH3 = phi[None, None, :]
-    W3 = wq[:, None, None] * wt[None, :, None] * wp[None, None, :]
-    dist3 = np.sqrt(Q * Q + r0 * r0 + 2.0 * Q * r0 * np.sin(PH3) * np.cos(TH3))
-    mass = float(np.sum(W3 * Q * Q * np.sin(PH3) * (dist3 ** p + a)))
-    return area, mass
+    """Weighted surface area and mass of a sphere at centre distance r0, as in 2D."""
+    return _ball_integrals(3, dens, R, r0)

@@ -232,9 +232,9 @@ def test_criterion_10_gradient_and_quadrature_hygiene():
             dens = Density(2.0, a)
             per, mass = offcenter_p2_2d(R, r0, a)
             per_q, mass_q = offcenter_quadrature_2d(dens, R, r0)
-            assert abs(per_q - per) <= 1e-8 * per
-            assert abs(mass_q - mass) <= 1e-8 * mass
+            assert abs(per_q - per) <= 1e-13 * per
+            assert abs(mass_q - mass) <= 1e-13 * mass
             area, mass3 = offcenter_p2_3d(R, r0, a)
             area_q, mass3_q = offcenter_quadrature_3d(dens, R, r0)
-            assert abs(area_q - area) <= 1e-8 * area
-            assert abs(mass3_q - mass3) <= 1e-8 * mass3
+            assert abs(area_q - area) <= 1e-13 * area
+            assert abs(mass3_q - mass3) <= 1e-13 * mass3

@@ -385,6 +385,21 @@ def test_solver_counts(monkeypatch):
     assert len(calls) < 1 + interval1d._SECTION_ITERS + interval1d._ROOT_ITERS // 2
 
 
+def test_small_left_end_is_not_snapped_to_the_origin():
+    # |alpha| = 6.1e-6 is below 1e-6 of beta, yet s = 0 lies 9.0e-9 above the
+    # minimum that a log-spaced scan of 2e5 left ends finds
+    from isodense.density import Dimension, critical_offset
+    p, M0 = 1.1, 100.0
+    a = 0.175 * critical_offset(p, Dimension(1), M0)
+    sol = solve_general(Density(p, a), M0)
+    s_sym = float(radial_mass_inverse(p, a, 0.5 * M0))
+    s = np.geomspace(1e-12 * s_sym, s_sym, 200_000)
+    beta = radial_mass_inverse(p, a, M0 - (s ** (p + 1.0) / (p + 1.0) + a * s))
+    scan = float(np.min(s ** p + beta ** p)) + 2.0 * a
+    assert sol.branch is IntervalBranch.ASYMMETRIC and sol.alpha < 0.0
+    assert sol.perimeter <= scan * (1.0 + 1e-15)
+
+
 @pytest.mark.parametrize("M0", [0.3, 1.0, 3.0])
 def test_forced_numeric_p2_matches_closed_form(M0):
     # the perimeter and the endpoints to rounding
@@ -420,7 +435,8 @@ def _section_reference(p, a, M0, passes):
     """Perimeters from the 32-point section search over s in [0, s_sym], run to (1/16)**passes.
 
     The best node then meets the exact s = 0 and symmetric candidates, which win
-    ties within rounding, and is classified and snapped to its branch as the solver does.
+    ties within rounding, and is classified and snapped to its branch as the solver does:
+    a near-symmetric row to s_sym, while a positive s keeps its place by the origin.
     """
     s_sym = radial_mass_inverse(p, a, 0.5 * M0)
     rows, col_a, col_s = np.arange(a.size), a[:, None], s_sym[:, None]
@@ -444,8 +460,6 @@ def _section_reference(p, a, M0, passes):
         branch = interval1d._classify(s, b)
         if branch is IntervalBranch.SYMMETRIC:
             s = b = s_sym[k]
-        elif branch is IntervalBranch.AT_ORIGIN:
-            s, b = 0.0, beta[k, 0]
         out.append(s ** p + b ** p + 2.0 * a[k])
     return out
 

@@ -107,12 +107,34 @@ def test_offcenter_formulas_match_quadrature():
         dens = Density(2, a)
         per, mass = offcenter_p2_2d(R, r0, a)
         per_q, mass_q = offcenter_quadrature_2d(dens, R, r0)
-        assert per_q == pytest.approx(per, rel=1e-8)
-        assert mass_q == pytest.approx(mass, rel=1e-8)
+        assert per_q == pytest.approx(per, rel=1e-13)
+        assert mass_q == pytest.approx(mass, rel=1e-13)
         area, mass3 = offcenter_p2_3d(R, r0, a)
         area_q, mass3_q = offcenter_quadrature_3d(dens, R, r0)
-        assert area_q == pytest.approx(area, rel=1e-8)
-        assert mass3_q == pytest.approx(mass3, rel=1e-8)
+        assert area_q == pytest.approx(area, rel=1e-13)
+        assert mass3_q == pytest.approx(mass3, rel=1e-13)
+
+
+@pytest.mark.parametrize("p", [0.5, 4.5])
+@pytest.mark.parametrize("d", [2, 3])
+def test_offcenter_quadrature_centred_matches_symmetric_ball(p, d):
+    dens = Density(p, 0.3)
+    ball = symmetric_ball(dens, Dimension(d), 1.3)
+    quadrature = offcenter_quadrature_2d if d == 2 else offcenter_quadrature_3d
+    per, mass = quadrature(dens, ball.radius, 0.0)
+    assert per == pytest.approx(ball.perimeter, rel=1e-14)
+    assert mass == pytest.approx(ball.mass, rel=1e-14)
+
+
+@pytest.mark.parametrize("R, r0", [(1.0, 0.4), (0.6, 0.5), (0.8, 1.3)])
+def test_offcenter_quadrature_2d_matches_a_fine_polygon(R, r0):
+    # p = 4.5 off the centre, the origin inside and outside: the polygon's O(n**-2) error
+    from isodense import PolyCurve, weighted_mass_2d, weighted_perimeter_2d
+    dens = Density(4.5, 0.2)
+    curve = PolyCurve.circle(R, (r0, 0.0), 4096)
+    per, mass = offcenter_quadrature_2d(dens, R, r0)
+    assert weighted_perimeter_2d(dens, curve) == pytest.approx(per, rel=3e-6)
+    assert weighted_mass_2d(dens, curve) == pytest.approx(mass, rel=3e-6)
 
 
 def test_solve_2d_p2_offcentre():

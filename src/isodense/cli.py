@@ -112,6 +112,52 @@ def _write_csv(path: Optional[str], header: list[str], columns: list) -> None:
             fh.writelines(blocks())
 
 
+def _fmt_each(template: bytes, *columns: list) -> list[bytes]:
+    """template % (c0[k], c1[k], ...) for each k, from one %-operation for all k."""
+    width, k = len(columns), len(columns[0])
+    values = [None] * (width * k)
+    for j, col in enumerate(columns):
+        values[j::width] = col
+    return ((template + b"\0") * k % tuple(values)).split(b"\0")[:-1]
+
+
+def _write_contour(path: Optional[str], nodes: np.ndarray, perimeter: np.ndarray,
+                   mass: np.ndarray, flags: np.ndarray) -> None:
+    """Write a square contour grid as CSV rows to path (stdout if None).
+
+    nodes are the grid coordinates of both axes; perimeter, mass and the
+    0/1 flags are n x n and symmetric, so the "perimeter,mass,flag" text of
+    row i, column j is that of row j, column i.  Each is formatted once, as
+    bytes, in the row of the smaller index, and held until the other row is
+    written: n(n+1) float conversions for n**2 rows, at most about n**2/4
+    texts held.  Floats print as %.12g with -0.0 as 0, as _fmt does.  Each
+    row is formatted from one template holding the n node texts, and
+    written as it is formatted.
+    """
+    n = len(nodes)
+    texts = _fmt_each(b"%.12g", (nodes + 0.0).tolist())
+    template = b"".join(b"\0," + t + b",%b\n" for t in texts)  # \0: the row's own node
+    held = [[] for _ in range(n)]  # held[i]: the texts of row i left of its diagonal
+
+    def rows():
+        yield b"alpha_abs,beta,perimeter,mass,on_constraint\n"
+        for i in range(n):
+            cells = _fmt_each(b"%.12g,%.12g,%d", (perimeter[i, i:] + 0.0).tolist(),
+                              (mass[i, i:] + 0.0).tolist(), flags[i, i:].tolist())
+            row, held[i] = held[i], None
+            row += cells
+            for later, cell in zip(held[i + 1:], cells[1:]):
+                later.append(cell)
+            yield template.replace(b"\0", texts[i]) % tuple(row)
+
+    if path is None:
+        for row in rows():
+            sys.stdout.write(row.decode())
+    else:
+        with open(path, "wb") as fh:
+            fh.writelines(rows())
+
+
 def positive_float(text: str) -> float:
     """argparse type of every --mass: NaN, infinities and values <= 0 are usage errors."""
     value = float(text)
@@ -226,14 +272,9 @@ def _cmd_contour(args) -> int:
     dm_i = np.max(np.abs(np.diff(grid.mass, axis=0)))
     dm_j = np.max(np.abs(np.diff(grid.mass, axis=1)))
     band = 0.5 * max(dm_i, dm_j)
-    mass = grid.mass.ravel()
-    n = args.grid
-    # each coordinate repeats n times in the CSV: format it once, print the text
-    alpha = np.array([_fmt(x) for x in grid.alpha_abs.tolist()], dtype=object)
-    beta = np.array([_fmt(x) for x in grid.beta.tolist()], dtype=object)
-    _write_csv(args.out, ["alpha_abs", "beta", "perimeter", "mass", "on_constraint"],
-               [np.repeat(alpha, n), np.tile(beta, n), grid.perimeter.ravel(),
-                mass, (np.abs(mass - args.mass) < band).astype(np.int8)])
+    # one extent on both axes: the nodes, perimeter and mass are symmetric to the bit
+    _write_contour(args.out, grid.alpha_abs, grid.perimeter, grid.mass,
+                   (np.abs(grid.mass - args.mass) < band).astype(np.int8))
     return 0
 
 

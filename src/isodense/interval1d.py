@@ -37,7 +37,9 @@ from .numerics import NumericError
 _SECTIONS = 32
 _SECTION_ITERS = 3
 _ROOT_ITERS = 64
-_TIE_RTOL = 1e-14  # above the rounding noise of the scaled objective, ~(p+1) ulps
+# ties within rounding: the scaled objective s**p + beta**p carries about (p+1) ulps of
+# noise, so the relative tolerance is the larger of this floor and 4*(p+1)*eps
+_TIE_RTOL = 1e-14
 _BLOCK = 512  # offsets solved together; bounds the working memory of a long sweep
 
 __all__ = [
@@ -295,6 +297,7 @@ def solve_general_batch(p: float, a_values, M0: float) -> list[IntervalSolution]
                 for sol in solve_general_batch(p, a[k:k + _BLOCK], M0)]
     dens = [Density(p, ak) for ak in a.tolist()]  # validates p and every offset
     s_sym = radial_mass_inverse(p, a, 0.5 * M0)
+    tie = 1.0 + max(_TIE_RTOL, 4.0 * (p + 1.0) * np.finfo(float).eps)
 
     def beta_at(t, a, s_sym, upper=None):
         # beta at s = t * s_sym, from the mass constraint
@@ -355,14 +358,14 @@ def solve_general_batch(p: float, a_values, M0: float) -> list[IntervalSolution]
             k = np.flatnonzero(live)
             beta[k] = beta_at(t[k], a[k], s_sym[k], beta_lo[k])
             per_k = scaled(t[k], beta[k], s_sym[k])
-            won = per_k <= per_best[k] * (1.0 + _TIE_RTOL)
+            won = per_k <= per_best[k] * tie
             k = k[won]
             t_best[k], per_best[k], beta_best[k] = t[k], per_k[won], beta[k]
         # the exact s = 0, then symmetric, candidates win ties within rounding (flat near a_crit)
         cand = np.column_stack([np.zeros(a.size), np.ones(a.size), t_best])
         per = np.column_stack([ends_per, per_best])
         betas = np.column_stack([ends_beta, beta_best])
-        pick = np.argmax(per <= per.min(axis=1, keepdims=True) * (1.0 + _TIE_RTOL), axis=1)
+        pick = np.argmax(per <= per.min(axis=1, keepdims=True) * tie, axis=1)
         s_best, beta = (cand[rows, pick] * s_sym).tolist(), betas[rows, pick].tolist()
     out = []
     for k, d in enumerate(dens):
@@ -476,7 +479,11 @@ class ContourGrid:
 
 
 def contour_grid(dens: Density, alpha_max: float, beta_max: float, n: int) -> ContourGrid:
-    """Sample perimeter and mass on an n x n grid over [0, alpha_max] x [0, beta_max]."""
+    """Sample perimeter and mass on an n x n grid over [0, alpha_max] x [0, beta_max].
+
+    Each value is a sum of one term per axis, so the powers are taken once
+    per node; with alpha_max == beta_max both fields are symmetric to the bit.
+    """
     if n < 2:
         raise ValueError("n must be at least 2")
     if alpha_max <= 0.0 or beta_max <= 0.0:
@@ -484,13 +491,12 @@ def contour_grid(dens: Density, alpha_max: float, beta_max: float, n: int) -> Co
     p, a = dens.p, dens.a
     s = np.linspace(0.0, alpha_max, n)
     b = np.linspace(0.0, beta_max, n)
-    S, B = np.meshgrid(s, b, indexing="ij")
-    per = S ** p + B ** p + 2.0 * a
-    head = (S ** (p + 1.0) + B ** (p + 1.0)) / (p + 1.0)
+    per = np.add.outer(s ** p, b ** p) + 2.0 * a
+    head = np.add.outer(s ** (p + 1.0), b ** (p + 1.0)) / (p + 1.0)
     if head.max() == math.inf:  # the sum (or a power) overflowed; there, divide first
-        head = np.where(head == math.inf, S * (S ** p / (p + 1.0)) + B * (B ** p / (p + 1.0)),
-                        head)
-    mass = head + a * (S + B)
+        head = np.where(head == math.inf,
+                        np.add.outer(s * (s ** p / (p + 1.0)), b * (b ** p / (p + 1.0))), head)
+    mass = head + a * np.add.outer(s, b)
     return ContourGrid(s, b, per, mass)
 
 

@@ -1,13 +1,18 @@
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isodense.cli import main
 
@@ -223,7 +228,7 @@ def test_huge_1d_mass_is_a_one_line_numeric_failure(capsys, argv):
     assert [str(w.message) for w in caught] == []
     assert len(err.strip().splitlines()) == 1
     cause = {"1e-3": "radial mass inverse has a root past the float range\n",
-             "300": "perimeter of [-9.736"}[argv[1]]
+             "300": "perimeter of [-0.0, 10.770996014015722]"}[argv[1]]
     assert err.startswith("numeric failure: " + cause)
     assert err.endswith(" past the float range\n")
 
@@ -402,30 +407,15 @@ def test_write_csv_matches_the_per_value_format(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().out == expected
 
 
-@pytest.mark.parametrize("n", [2, 70])
-@pytest.mark.parametrize("mass", [1e-300, 1.2, 1e300])  # the extremes print in exponent form
-@pytest.mark.parametrize("a", [0.0, 0.3])
-@pytest.mark.parametrize("p", [0.5, 4.0])
-def test_contour_bytes_across_blocks_match_a_row_by_row_reference(tmp_path, capsys,
-                                                                   p, a, mass, n):
-    import isodense.cli as cli_mod
+def _contour_reference(p, a, mass, n):
+    """The contour CSV built row by row with f-strings, from the same grid."""
     from isodense import Density
     from isodense.density import radial_mass_inverse
     from isodense.interval1d import contour_grid
 
-    if n > 2:  # a full block and a partial one
-        assert n * n > cli_mod.CSV_BLOCK_ROWS and n * n % cli_mod.CSV_BLOCK_ROWS != 0
-    argv = ["contour", "--p", str(p), "--a", str(a), "--mass", str(mass), "--grid", str(n)]
-    out_file = tmp_path / "c.csv"
-    code, stdout, _ = run_cli(capsys, *argv)
-    assert code == 0
-    code, _, _ = run_cli(capsys, *argv, "--out", str(out_file))
-    assert code == 0
-    assert out_file.read_text() == stdout
-
-    dens = Density(p, a)
     extent = 1.05 * float(radial_mass_inverse(p, a, mass))
-    g = contour_grid(dens, extent, extent, n)
+    with np.errstate(over="ignore"):
+        g = contour_grid(Density(p, a), extent, extent, n)
     band = 0.5 * max(np.max(np.abs(np.diff(g.mass, axis=0))),
                      np.max(np.abs(np.diff(g.mass, axis=1))))
     lines = ["alpha_abs,beta,perimeter,mass,on_constraint"]
@@ -435,20 +425,75 @@ def test_contour_bytes_across_blocks_match_a_row_by_row_reference(tmp_path, caps
             values = [float(g.alpha_abs[i]), float(g.beta[j]), float(g.perimeter[i, j]), m]
             lines.append(",".join([f"{v + 0.0:.12g}" for v in values]
                                   + [str(int(abs(m - mass) < band))]))
-    assert stdout == "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+class _WriteRecorder(io.StringIO):
+    """A stdout that records the number of lines in each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.lines_per_write = []
+
+    def write(self, text):
+        self.lines_per_write.append(text.count("\n"))
+        return super().write(text)
+
+
+def _contour_outputs(argv, path):
+    """(stdout, --out file text, lines per stdout write) of one contour that exits 0."""
+    stdout = _WriteRecorder()
+    with redirect_stdout(stdout):
+        code = main(["contour", *argv])
+    assert code == 0
+    with redirect_stdout(io.StringIO()):
+        code = main(["contour", *argv, "--out", str(path)])
+    assert code == 0
+    return stdout.getvalue(), path.read_text(), stdout.lines_per_write
+
+
+@pytest.mark.parametrize("n", [2, 70])
+@pytest.mark.parametrize("mass", [1e-300, 1.2, 1e300])  # the extremes print in exponent form
+@pytest.mark.parametrize("a", [0.0, 0.3])
+@pytest.mark.parametrize("p", [0.5, 4.0])
+def test_contour_rows_stream_and_match_a_row_by_row_reference(tmp_path, p, a, mass, n):
+    argv = ["--p", str(p), "--a", str(a), "--mass", str(mass), "--grid", str(n)]
+    stdout, written, lines_per_write = _contour_outputs(argv, tmp_path / "c.csv")
+    assert written == stdout
+    assert lines_per_write == [1] + [n] * n  # the header, then one grid row at a time
+    assert stdout == _contour_reference(p, a, mass, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.floats(0.1, 8.0), a=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+       mass=st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 10.0, exclude_max=True),
+                      st.integers(-300, 300)),
+       n=st.integers(2, 40))
+def test_contour_bytes_match_the_reference_for_any_grid(p, a, mass, n):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["--p", repr(p), "--a", repr(a), "--mass", repr(mass), "--grid", str(n)]
+        stdout, written, _ = _contour_outputs(argv, Path(tmp) / "c.csv")
+    assert written == stdout
+    assert stdout == _contour_reference(p, a, mass, n)
 
 
 @pytest.mark.parametrize("n", [2, 5, 101])
 def test_contour_formats_each_grid_coordinate_once(capsys, monkeypatch, n):
     import isodense.cli as cli_mod
 
-    calls = []
-    fmt = cli_mod._fmt
-    monkeypatch.setattr(cli_mod, "_fmt", lambda x: calls.append(x) or fmt(x))
+    conversions = []
+    fmt_each = cli_mod._fmt_each
+
+    def counted(template, *columns):
+        conversions.append(template.count(b"%.12g") * len(columns[0]))
+        return fmt_each(template, *columns)
+
+    monkeypatch.setattr(cli_mod, "_fmt_each", counted)
     code, out, _ = run_cli(capsys, "contour", "--p", "4", "--a", "0.3", "--grid", str(n))
     assert code == 0
     assert len(out.splitlines()) == n * n + 1
-    assert len(calls) == 2 * n  # n alpha_abs and n beta values, not one per row
+    # n nodes, shared by both axes, and each symmetric (perimeter, mass) pair once
+    assert sum(conversions) == n + n * (n + 1)
 
 
 def test_contour_failure_leaves_no_output_file(tmp_path, capsys, monkeypatch):

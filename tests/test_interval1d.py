@@ -400,6 +400,15 @@ def test_small_left_end_is_not_snapped_to_the_origin():
     assert sol.perimeter <= scan * (1.0 + 1e-15)
 
 
+@pytest.mark.parametrize("p", [30.0, 100.0, 300.0, 1000.0])
+def test_large_p_at_zero_offset_is_one_ended(p):
+    # at a = 0 the perimeter rises with the left end, so the origin wins; the scaled
+    # objective's (p+1)-ulp rounding once let a noise pick win (p = 300: alpha -0.912)
+    sol = solve_general(Density(p, 0.0), 1.0)
+    assert sol.branch is IntervalBranch.AT_ORIGIN and sol.alpha == 0.0
+    assert sol.beta == pytest.approx((p + 1.0) ** (1.0 / (p + 1.0)), rel=1e-14)
+
+
 @pytest.mark.parametrize("M0", [0.3, 1.0, 3.0])
 def test_forced_numeric_p2_matches_closed_form(M0):
     # the perimeter and the endpoints to rounding
@@ -584,12 +593,20 @@ def test_reduce_random_suite_conserves_mass_never_increases_perimeter():
 # --- contour grid and curvatures --------------------------------------------
 
 def test_contour_grid_corner_and_symmetry():
+    # the contour CSV writer formats each symmetric pair once: it needs exact symmetry
     dens = Density(2, 0.7)
     g = contour_grid(dens, 1.5, 1.5, 9)
     assert g.perimeter[0, 0] == pytest.approx(2 * dens.a)
     assert g.mass[0, 0] == 0.0
-    assert np.allclose(g.perimeter, g.perimeter.T)
-    assert np.allclose(g.mass, g.mass.T)
+    # the second grid takes the divide-first branch where S**3 + B**3 overflows
+    extent = 1.05 * float(radial_mass_inverse(2.0, 0.5, 7.5e307))
+    with np.errstate(over="ignore"):
+        g_ovf = contour_grid(Density(2, 0.5), extent, extent, 40)
+    assert math.isfinite(g_ovf.mass.max())
+    for grid in (g, g_ovf):
+        assert np.array_equal(grid.alpha_abs, grid.beta)
+        assert np.array_equal(grid.perimeter, grid.perimeter.T)
+        assert np.array_equal(grid.mass, grid.mass.T)
     with pytest.raises(ValueError):
         contour_grid(dens, 1.0, 1.0, 1)
 
@@ -602,6 +619,7 @@ def test_contour_grid_mass_keeps_its_bits_where_the_sum_fits(p, a, mass):
     S, B = np.meshgrid(g.alpha_abs, g.beta, indexing="ij")
     summed = (S ** (p + 1.0) + B ** (p + 1.0)) / (p + 1.0) + a * (S + B)
     assert np.array_equal(g.mass, summed)
+    assert np.array_equal(g.perimeter, S ** p + B ** p + 2.0 * a)
 
 
 def test_contour_p1_constraint_is_a_circle():

@@ -27,6 +27,7 @@ from .density import (
 )
 from .evolver import evolve_2d, evolve_3d_axisym, isoperimetric_quotient
 from .interval1d import (
+    ContourGrid,
     Interval,
     IntervalSolution,
     brute_force_oracle,
@@ -66,50 +67,21 @@ def _fmt(x: float) -> str:
     return f"{x + 0.0:.12g}"  # + 0.0 prints -0.0 as 0
 
 
-def _round12(obj):
-    if isinstance(obj, float):
-        return float(_fmt(obj)) if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _round12(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round12(v) for v in obj]
-    return obj
-
-
 def _emit_json(record: dict) -> None:
-    print(json.dumps(_round12(record), sort_keys=True))
+    """Print a flat record as JSON: floats to 12 significant digits, non-finite as null."""
+    rounded = {k: float(_fmt(v)) if math.isfinite(v) else None
+               for k, v in record.items() if isinstance(v, float)}
+    print(json.dumps({**record, **rounded}, sort_keys=True))
 
 
-def _write_csv(path: Optional[str], header: list[str], columns: list) -> None:
-    """Write equal-length columns as CSV rows to path (stdout if None).
-
-    A float ndarray column prints as %.12g, with -0.0 as 0, as _fmt does;
-    any other column (a sequence of str or int, or an int or object
-    ndarray) prints as str, so an object column of str prints as-is.
-    Rows are formatted with one %-template per block of CSV_BLOCK_ROWS
-    and written as they are formatted.
-    """
-    floats = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
-    row = ",".join("%.12g" if f else "%s" for f in floats) + "\n"
-    width, n = len(columns), len(columns[0])
-
-    def blocks():
-        yield ",".join(header) + "\n"
-        for lo in range(0, n, CSV_BLOCK_ROWS):
-            hi = min(lo + CSV_BLOCK_ROWS, n)
-            values = [None] * ((hi - lo) * width)
-            for j, (col, is_float) in enumerate(zip(columns, floats)):
-                part = col[lo:hi]
-                if isinstance(part, np.ndarray):
-                    part = (part + 0.0 if is_float else part).tolist()
-                values[j::width] = part
-            yield row * (hi - lo) % tuple(values)
-
+def _write_bytes(path: Optional[str], chunks) -> None:
+    """Write each bytes chunk to path (stdout if None) as it is made."""
     if path is None:
-        sys.stdout.writelines(blocks())
+        for chunk in chunks:
+            sys.stdout.write(chunk.decode())
     else:
-        with open(path, "w", newline="") as fh:
-            fh.writelines(blocks())
+        with open(path, "wb") as fh:
+            fh.writelines(chunks)
 
 
 def _fmt_each(template: bytes, *columns: list) -> list[bytes]:
@@ -121,21 +93,42 @@ def _fmt_each(template: bytes, *columns: list) -> list[bytes]:
     return ((template + b"\0") * k % tuple(values)).split(b"\0")[:-1]
 
 
-def _write_contour(path: Optional[str], nodes: np.ndarray, perimeter: np.ndarray,
-                   mass: np.ndarray, flags: np.ndarray) -> None:
-    """Write a square contour grid as CSV rows to path (stdout if None).
+def _write_csv(path: Optional[str], header: list[str], columns: list) -> None:
+    """Write equal-length columns as CSV rows to path (stdout if None).
 
-    nodes are the grid coordinates of both axes; perimeter, mass and the
-    0/1 flags are n x n and symmetric, so the "perimeter,mass,flag" text of
-    row i, column j is that of row j, column i.  Each is formatted once, as
-    bytes, in the row of the smaller index, and held until the other row is
-    written: n(n+1) float conversions for n**2 rows, at most about n**2/4
-    texts held.  Floats print as %.12g with -0.0 as 0, as _fmt does.  Each
-    row is formatted from one template holding the n node texts, and
-    written as it is formatted.
+    A float ndarray column prints as %.12g, with -0.0 as 0, as _fmt does;
+    any other column (a sequence of str or int, or an int or object
+    ndarray) prints each value's str.  Each block of CSV_BLOCK_ROWS rows
+    is formatted by _fmt_each and written as it is formatted.
     """
-    n = len(nodes)
-    texts = _fmt_each(b"%.12g", (nodes + 0.0).tolist())
+    floats = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
+    template = b",".join(b"%.12g" if f else b"%b" for f in floats) + b"\n"
+
+    def blocks():
+        yield ",".join(header).encode() + b"\n"
+        for lo in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            block = [(c[lo:lo + CSV_BLOCK_ROWS] + 0.0).tolist() if f
+                     else [str(v).encode() for v in c[lo:lo + CSV_BLOCK_ROWS]]
+                     for c, f in zip(columns, floats)]
+            yield b"".join(_fmt_each(template, *block))
+
+    _write_bytes(path, blocks())
+
+
+def _write_contour(path: Optional[str], grid: ContourGrid, flags: np.ndarray) -> None:
+    """Write a contour grid and its n x n 0/1 flags as CSV rows to path (stdout if None).
+
+    The grid is square, so its perimeter and mass are symmetric to the bit;
+    with symmetric flags the "perimeter,mass,flag" text of row i, column j
+    is that of row j, column i.  Each is formatted once, as bytes, in the
+    row of the smaller index, and held until the other row is written:
+    n(n+1) float conversions for n**2 rows, at most about n**2/4 texts
+    held.  Floats print as %.12g with -0.0 as 0, as _fmt does.  Each row is
+    formatted from one template holding the n node texts, and written as
+    it is formatted.
+    """
+    n, perimeter, mass = len(grid.nodes), grid.perimeter, grid.mass
+    texts = _fmt_each(b"%.12g", (grid.nodes + 0.0).tolist())
     template = b"".join(b"\0," + t + b",%b\n" for t in texts)  # \0: the row's own node
     held = [[] for _ in range(n)]  # held[i]: the texts of row i left of its diagonal
 
@@ -150,12 +143,7 @@ def _write_contour(path: Optional[str], nodes: np.ndarray, perimeter: np.ndarray
                 later.append(cell)
             yield template.replace(b"\0", texts[i]) % tuple(row)
 
-    if path is None:
-        for row in rows():
-            sys.stdout.write(row.decode())
-    else:
-        with open(path, "wb") as fh:
-            fh.writelines(rows())
+    _write_bytes(path, rows())
 
 
 def positive_float(text: str) -> float:
@@ -241,7 +229,8 @@ def _cmd_sweep(args) -> int:
             raise ValueError(f"{flag} must be finite, got {value}")
     if args.a_min > args.a_max or args.a_min < 0.0:
         raise ValueError("need 0 <= a-min <= a-max")
-    avals = np.linspace(args.a_min, args.a_max, args.steps).tolist()
+    with np.errstate(over="ignore"):  # near the float range the last node overflows, then is a-max
+        avals = np.linspace(args.a_min, args.a_max, args.steps).tolist()
     sols = _dispatch(args.dim, args.p, avals, args.mass)
     end_cols = ["alpha", "beta"] if args.dim == 1 else ["R", "r0"]
     header = ["a", "branch", *end_cols, "perimeter", "mass_residual"]
@@ -260,10 +249,10 @@ def _cmd_contour(args) -> int:
     # extent: a little past the widest one-ended interval of the target mass
     extent = 1.05 * float(radial_mass_inverse(dens.p, dens.a, args.mass))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, before any output
-        grid = contour_grid(dens, extent, extent, args.grid)
+        grid = contour_grid(dens, extent, args.grid)
     # a column is finite if its min and max are (either is NaN if a value is):
     # the check builds no n x n mask
-    bad = [name for name, col in (("alpha_abs", grid.alpha_abs), ("beta", grid.beta),
+    bad = [name for name, col in (("alpha_abs, beta", grid.nodes),
                                   ("perimeter", grid.perimeter), ("mass", grid.mass))
            if not (math.isfinite(col.min()) and math.isfinite(col.max()))]
     if bad:
@@ -272,16 +261,16 @@ def _cmd_contour(args) -> int:
     dm_i = np.max(np.abs(np.diff(grid.mass, axis=0)))
     dm_j = np.max(np.abs(np.diff(grid.mass, axis=1)))
     band = 0.5 * max(dm_i, dm_j)
-    # one extent on both axes: the nodes, perimeter and mass are symmetric to the bit
-    _write_contour(args.out, grid.alpha_abs, grid.perimeter, grid.mass,
-                   (np.abs(grid.mass - args.mass) < band).astype(np.int8))
+    _write_contour(args.out, grid, (np.abs(grid.mass - args.mass) < band).astype(np.int8))
     return 0
 
 
 def _cmd_evolve(args) -> int:
     dens = Density(args.p, args.a)
     evolve = evolve_2d if args.dim == 2 else evolve_3d_axisym  # argparse allows 2 and 3 only
-    report = evolve(dens, args.mass, n=args.vertices, max_iters=args.iters, tol=args.tol)
+    # past the float range a kernel's inf or NaN fails the run's own checks; no warnings
+    with np.errstate(all="ignore"):
+        report = evolve(dens, args.mass, n=args.vertices, max_iters=args.iters, tol=args.tol)
     rec = {
         "dim": args.dim, "p": args.p, "a": args.a, "mass": args.mass,
         "weighted_perimeter": report.weighted_perimeter,

@@ -211,7 +211,7 @@ def _functional(dens: Density, V: np.ndarray, d: int) -> float:
     return _TWO_PI * float((mid[:, 1] * L * rho).sum())
 
 
-def _functional_grad(dens: Density, V: np.ndarray, d: int) -> tuple[float, np.ndarray]:
+def _functional_grad(dens: Density, V: np.ndarray, d: int) -> np.ndarray:
     p, a = dens.p, dens.a
     A, B = _ends(V, d)
     E = B - A
@@ -220,12 +220,11 @@ def _functional_grad(dens: Density, V: np.ndarray, d: int) -> tuple[float, np.nd
     w, dw, c = _revolution(mid, d)
     rm = np.maximum(np.hypot(mid[:, 0], mid[:, 1]), 1e-300)
     rho = rm ** p + a
-    value = c * float((w * L * rho).sum())
     along = (w * rho)[:, None] * (E / L[:, None])
     # d(w rho(rm))/d(mid) pulled back to the two edge vertices (factor 1/2 each)
     radial = (0.5 * w * L * p * rm ** (p - 2.0))[:, None] * mid
     lift = (0.5 * L * rho)[:, None] * dw
-    return value, c * _gather(-along + radial + lift, along + radial + lift, d)
+    return c * _gather(-along + radial + lift, along + radial + lift, d)
 
 
 def _cross(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -264,8 +263,8 @@ def _fan_mass(dens: Density, V: np.ndarray, d: int) -> float:
     return dens.a * _volume(yA, yB, cross, d) + fan * float((cross * S).sum())
 
 
-def _fan_mass_grad(dens: Density, V: np.ndarray, d: int) -> tuple[float, np.ndarray]:
-    """(mass, gradient): the mass agrees with _fan_mass to rounding."""
+def _fan_mass_grad(dens: Density, V: np.ndarray, d: int) -> np.ndarray:
+    """The gradient of _fan_mass in the vertices."""
     p = dens.p
     A, B = _ends(V, d)
     P = A[None, :, :] + _T4[:, None, None] * (B - A)[None, :, :]
@@ -282,8 +281,8 @@ def _fan_mass_grad(dens: Density, V: np.ndarray, d: int) -> tuple[float, np.ndar
     # each vertex's share of the nodes on the edges it starts and ends
     T0 = np.einsum("j,jnk->nk", _WT4 * (1.0 - _T4), grad_f)
     T1 = np.einsum("j,jnk->nk", _WT4 * _T4, grad_f)
-    return float((cross * S).sum()), _gather(S[:, None] * _perp(B) + cross[:, None] * T0,
-                                             cross[:, None] * T1 - S[:, None] * _perp(A), d)
+    return _gather(S[:, None] * _perp(B) + cross[:, None] * T0,
+                   cross[:, None] * T1 - S[:, None] * _perp(A), d)
 
 
 # The per-state kernels, looked up by name when the driver runs.
@@ -321,12 +320,12 @@ def weighted_mass_2d(dens: Density, curve: PolyCurve) -> float:
 
 def perimeter_gradient_2d(dens: Density, curve: PolyCurve) -> np.ndarray:
     """Analytic gradient of the weighted perimeter with respect to each vertex."""
-    return _perimeter_grad(dens, curve.vertices)[1]
+    return _perimeter_grad(dens, curve.vertices)
 
 
 def mass_gradient_2d(dens: Density, curve: PolyCurve) -> np.ndarray:
     """Analytic gradient of the weighted mass with respect to each vertex."""
-    return _mass_grad(dens, curve.vertices)[1]
+    return _mass_grad(dens, curve.vertices)
 
 
 def _smooth(field: np.ndarray, d: int) -> np.ndarray:
@@ -388,7 +387,7 @@ def _project(dens: Density, V: np.ndarray, M0: float, mass, mass_grad, normals,
         if newton or not abs(resid) < last:
             newton = True
             N = normals(V)
-            slope = float((mass_grad(dens, V)[1] * N).sum())
+            slope = float((mass_grad(dens, V) * N).sum())
             if slope <= 0.0:
                 raise NumericError("mass projection lost its outward slope")
         last = abs(resid)
@@ -584,8 +583,8 @@ def _descend(dens: Density, V: np.ndarray, M0: float, per: float, step0: float,
     list is updated in place.  The search projects its trials with the
     iterate's normals and mass slope (see _project).
     """
-    gP = pin(functional_grad(dens, V)[1])
-    gM = pin(mass_grad(dens, V)[1])
+    gP = pin(functional_grad(dens, V))
+    gM = pin(mass_grad(dens, V))
     N = normals(V)
     chord = (N, float((gM * N).sum()))
     # the inner products take copies scaled by exact powers of two: at

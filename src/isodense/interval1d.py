@@ -248,11 +248,11 @@ def _solution(dens: Density, s: float, beta: float, M0: float,
               branch: IntervalBranch) -> IntervalSolution:
     """[-s, beta] as a solution, once it meets the mass constraint to MASS_RTOL."""
     if not (s >= 0.0 and beta >= 0.0):  # a NaN or negative endpoint: the solve failed
-        raise NumericError(f"endpoints [{-s}, {beta}] are not a valid interval")
+        raise NumericError(f"endpoints [{-s + 0.0}, {beta}] are not a valid interval")
     try:
         perimeter = s ** dens.p + beta ** dens.p + 2.0 * dens.a
     except OverflowError:
-        raise NumericError(f"perimeter of [{-s}, {beta}] is past the float range") from None
+        raise NumericError(f"perimeter of [{-s + 0.0}, {beta}] is past the float range") from None
     try:
         mass = dens.primitive(s) + dens.primitive(beta)
     except OverflowError:  # an endpoint's power past the float range
@@ -466,38 +466,37 @@ def reduce_intervals(dens: Density, ivs: Sequence[Interval]) -> Interval:
 
 @dataclass(frozen=True)
 class ContourGrid:
-    """Perimeter and mass sampled on a rectangular (|alpha|, beta) grid.
+    """Perimeter and mass sampled on a square (|alpha|, beta) grid.
 
-    perimeter[i, j] and mass[i, j] correspond to (alpha_abs[i], beta[j]);
-    records are row-major over i then j.
+    perimeter[i, j] and mass[i, j] correspond to (nodes[i], nodes[j]), so
+    both are symmetric to the bit; records are row-major over i then j.
     """
 
-    alpha_abs: np.ndarray
-    beta: np.ndarray
+    nodes: np.ndarray
     perimeter: np.ndarray
     mass: np.ndarray
 
 
-def contour_grid(dens: Density, alpha_max: float, beta_max: float, n: int) -> ContourGrid:
-    """Sample perimeter and mass on an n x n grid over [0, alpha_max] x [0, beta_max].
+def contour_grid(dens: Density, extent: float, n: int) -> ContourGrid:
+    """Sample perimeter and mass on an n x n grid over [0, extent]**2.
 
     Each value is a sum of one term per axis, so the powers are taken once
-    per node; with alpha_max == beta_max both fields are symmetric to the bit.
+    per node.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    if alpha_max <= 0.0 or beta_max <= 0.0:
+    if extent <= 0.0:
         raise ValueError("grid extents must be positive")
     p, a = dens.p, dens.a
-    s = np.linspace(0.0, alpha_max, n)
-    b = np.linspace(0.0, beta_max, n)
-    per = np.add.outer(s ** p, b ** p) + 2.0 * a
-    head = np.add.outer(s ** (p + 1.0), b ** (p + 1.0)) / (p + 1.0)
+    s = np.linspace(0.0, extent, n)
+    sp, sp1 = s ** p, s ** (p + 1.0)
+    per = np.add.outer(sp, sp) + 2.0 * a
+    head = np.add.outer(sp1, sp1) / (p + 1.0)
     if head.max() == math.inf:  # the sum (or a power) overflowed; there, divide first
-        head = np.where(head == math.inf,
-                        np.add.outer(s * (s ** p / (p + 1.0)), b * (b ** p / (p + 1.0))), head)
-    mass = head + a * np.add.outer(s, b)
-    return ContourGrid(s, b, per, mass)
+        term = s * (sp / (p + 1.0))
+        head = np.where(head == math.inf, np.add.outer(term, term), head)
+    mass = head + a * np.add.outer(s, s)
+    return ContourGrid(s, per, mass)
 
 
 def contour_curvatures(dens: Density, alpha_abs: float, beta: float) -> tuple[float, float]:

@@ -59,6 +59,7 @@ from typing import NamedTuple  # cheaper to define at import than a dataclass
 import numpy as np
 
 from .density import MASS_RTOL, Density, Dimension, check_mass, radial_mass_inverse
+from .numerics import NumericError
 
 __all__ = ["SpectralOptimum", "spectral_2d", "spectral_3d_axisym"]
 
@@ -261,7 +262,11 @@ def _solve(dens: Density, M0: float, d: int, K: int) -> SpectralOptimum:
     p = dens.p
     scale = M0 ** (1.0 / (p + d))
     with np.errstate(all="ignore"):  # a failed evaluation is not finite, and is refused
-        a = dens.a * M0 ** (-p / (p + d))
+        # the offset at unit mass: inf, not an OverflowError, where it passes the float range
+        a = float(dens.a * np.float64(M0) ** (-p / (p + d))) if dens.a else 0.0
+        if a == math.inf:
+            raise NumericError(f"offset {dens.a!r} at mass {M0!r} is past the float range"
+                               " at unit mass")
         R = float(radial_mass_inverse(p, a, 1.0 / Dimension(d).k_d, d))
         z = np.zeros(nodes.basis.shape[2])
         z[:2] = R, _initial_center(Density(p, a), R)  # the circle or sphere, onto the mass

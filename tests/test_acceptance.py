@@ -213,8 +213,8 @@ def test_criterion_10_gradient_and_quadrature_hygiene():
             cx, cy = rng.uniform(-0.3, 0.3, size=2)
             V = np.column_stack([cx + r * np.cos(theta), cy + r * np.sin(theta)])
             dens = Density(float(rng.uniform(0.6, 4.0)), float(rng.uniform(0.0, 1.5)))
-            _, gP = _perimeter_grad(dens, V)
-            _, gM = _mass_grad(dens, V)
+            gP = _perimeter_grad(dens, V)
+            gM = _mass_grad(dens, V)
             h = 1e-6
             for g, f in ((gP, _perimeter), (gM, _mass)):
                 fd = np.zeros_like(V)

@@ -228,7 +228,7 @@ def test_huge_1d_mass_is_a_one_line_numeric_failure(capsys, argv):
     assert [str(w.message) for w in caught] == []
     assert len(err.strip().splitlines()) == 1
     cause = {"1e-3": "radial mass inverse has a root past the float range\n",
-             "300": "perimeter of [-0.0, 10.770996014015722]"}[argv[1]]
+             "300": "perimeter of [0.0, 10.770996014015722]"}[argv[1]]
     assert err.startswith("numeric failure: " + cause)
     assert err.endswith(" past the float range\n")
 
@@ -415,14 +415,14 @@ def _contour_reference(p, a, mass, n):
 
     extent = 1.05 * float(radial_mass_inverse(p, a, mass))
     with np.errstate(over="ignore"):
-        g = contour_grid(Density(p, a), extent, extent, n)
+        g = contour_grid(Density(p, a), extent, n)
     band = 0.5 * max(np.max(np.abs(np.diff(g.mass, axis=0))),
                      np.max(np.abs(np.diff(g.mass, axis=1))))
     lines = ["alpha_abs,beta,perimeter,mass,on_constraint"]
     for i in range(n):
         for j in range(n):
             m = float(g.mass[i, j])
-            values = [float(g.alpha_abs[i]), float(g.beta[j]), float(g.perimeter[i, j]), m]
+            values = [float(g.nodes[i]), float(g.nodes[j]), float(g.perimeter[i, j]), m]
             lines.append(",".join([f"{v + 0.0:.12g}" for v in values]
                                   + [str(int(abs(m - mass) < band))]))
     return "\n".join(lines) + "\n"
@@ -595,7 +595,8 @@ def test_sweep_2d_general_exponent(tmp_path, capsys):
 
 
 def test_verify_fast_suites(capsys):
-    for suite in ("branch-continuity", "reduction", "radial-quadrature", "oracle1d"):
+    for suite in ("branch-continuity", "reduction", "radial-quadrature", "oracle1d",
+                  "evolver-p2"):
         code, out, _ = run_cli(capsys, "verify", suite)
         assert code == 0, out
         assert "all checks passed" in out
@@ -783,6 +784,29 @@ def test_nonfinite_result_is_a_one_line_numeric_failure(tmp_path, capsys, argv):
     assert out == "" and not out_file.exists()
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("numeric failure: offset a=1e+308: perimeter")
+
+
+@pytest.mark.parametrize("argv, cause", [
+    (["sweep", "--dim", "1", "--p", "1", "--a-min", "1.8814672133785313e+77",
+      "--a-max", "1.7976931348623157e+308", "--steps", "22"], "offset a=9.416487849278796e+307"),
+    (["evolve", "--dim", "2", "--p", "1e-300", "--a", "14274672", "--mass", "1e-300",
+      "--vertices", "64", "--iters", "0"], "mass projection did not converge"),
+    (["evolve", "--dim", "3", "--p", "1.0051312191802512e16", "--a", "3.4570810051530968e252",
+      "--mass", "2.2250738585e-313", "--vertices", "33", "--iters", "0"],
+     "offset 3.4570810051530968e+252 at mass 2.2250738585e-313 is past the float range"),
+], ids=["sweep-linspace", "evolve-gradient", "evolve-unit-mass-offset"])
+def test_extreme_inputs_are_one_line_numeric_failures(capsys, argv, cause):
+    # found by the argument property tests: np.linspace's last offset and the
+    # evolver's kernels once printed numpy overflow warnings before the failure
+    # line, and the spectral start's offset at unit mass raised OverflowError
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert [str(w.message) for w in caught] == []
+    assert err.startswith("numeric failure: " + cause)
+    assert len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("a", ["1e308", "1.7e308"])

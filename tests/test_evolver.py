@@ -155,8 +155,8 @@ def test_analytic_gradients_match_finite_differences():
                     G[i, j] = (f(Vp) - f(Vm)) / (2 * h)
             return G
 
-        _, gP = _perimeter_grad(dens, V)
-        _, gM = _mass_grad(dens, V)
+        gP = _perimeter_grad(dens, V)
+        gM = _mass_grad(dens, V)
         gP_fd = fd(lambda W: _perimeter(dens, W))
         gM_fd = fd(lambda W: _mass(dens, W))
         assert np.max(np.abs(gP - gP_fd)) / np.max(np.abs(gP_fd)) < 1e-5
@@ -181,8 +181,8 @@ def test_rev_gradients_match_finite_differences():
                 G[i, j] = (f(Wp) - f(Wm)) / (2 * h)
         return G
 
-    _, gS = _rev_area_grad(dens, W)
-    _, gM = _rev_mass_grad(dens, W)
+    gS = _rev_area_grad(dens, W)
+    gM = _rev_mass_grad(dens, W)
     assert np.max(np.abs(gS - fd(lambda X: _rev_area(dens, X)))) \
         / np.max(np.abs(gS)) < 1e-5
     assert np.max(np.abs(gM - fd(lambda X: _rev_mass(dens, X)))) \
@@ -224,8 +224,8 @@ def test_descent_steps_monotone_and_mass_conserving():
 
 def _uphill(dens, X, functional_grad, mass_grad, pin):
     """+grad(P) with its grad(M) component removed: the reverse of _descend's field."""
-    gP = pin(functional_grad(dens, X)[1])
-    gM = pin(mass_grad(dens, X)[1])
+    gP = pin(functional_grad(dens, X))
+    gM = pin(mass_grad(dens, X))
     return ev._unit(gP - float(np.sum(gP * gM) / np.sum(gM * gM)) * gM)
 
 
@@ -613,8 +613,8 @@ def test_chord_projection_lands_on_the_mass_and_falls_back_to_newton(monkeypatch
     dens, M0 = Density(4, 0.1), 1.0
     V = _project_mass(dens, _wobbly_curve(n=96, seed=2), M0)
     N = ev._vertex_normals(V)
-    slope = float((_mass_grad(dens, V)[1] * N).sum())
-    trial = V + 1e-3 * ev._unit(-_perimeter_grad(dens, V)[1])
+    slope = float((_mass_grad(dens, V) * N).sum())
+    trial = V + 1e-3 * ev._unit(-_perimeter_grad(dens, V))
     assert abs(_mass(dens, trial) - M0) > 1e-6 * M0
     grads = _count_calls(monkeypatch, "_mass_grad")
     cases = [((N, slope), False),  # the iterate's chord: no gradient

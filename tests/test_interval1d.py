@@ -595,28 +595,27 @@ def test_reduce_random_suite_conserves_mass_never_increases_perimeter():
 def test_contour_grid_corner_and_symmetry():
     # the contour CSV writer formats each symmetric pair once: it needs exact symmetry
     dens = Density(2, 0.7)
-    g = contour_grid(dens, 1.5, 1.5, 9)
+    g = contour_grid(dens, 1.5, 9)
     assert g.perimeter[0, 0] == pytest.approx(2 * dens.a)
     assert g.mass[0, 0] == 0.0
     # the second grid takes the divide-first branch where S**3 + B**3 overflows
     extent = 1.05 * float(radial_mass_inverse(2.0, 0.5, 7.5e307))
     with np.errstate(over="ignore"):
-        g_ovf = contour_grid(Density(2, 0.5), extent, extent, 40)
+        g_ovf = contour_grid(Density(2, 0.5), extent, 40)
     assert math.isfinite(g_ovf.mass.max())
     for grid in (g, g_ovf):
-        assert np.array_equal(grid.alpha_abs, grid.beta)
         assert np.array_equal(grid.perimeter, grid.perimeter.T)
         assert np.array_equal(grid.mass, grid.mass.T)
     with pytest.raises(ValueError):
-        contour_grid(dens, 1.0, 1.0, 1)
+        contour_grid(dens, 1.0, 1)
 
 
 @pytest.mark.parametrize("p, a, mass", [(2.0, 0.5, 2e307), (4.0, 0.3, 1.0), (0.5, 0.0, 1e300)])
 def test_contour_grid_mass_keeps_its_bits_where_the_sum_fits(p, a, mass):
     dens = Density(p, a)
     extent = 1.05 * float(radial_mass_inverse(p, a, mass))
-    g = contour_grid(dens, extent, extent, 40)
-    S, B = np.meshgrid(g.alpha_abs, g.beta, indexing="ij")
+    g = contour_grid(dens, extent, 40)
+    S, B = np.meshgrid(g.nodes, g.nodes, indexing="ij")
     summed = (S ** (p + 1.0) + B ** (p + 1.0)) / (p + 1.0) + a * (S + B)
     assert np.array_equal(g.mass, summed)
     assert np.array_equal(g.perimeter, S ** p + B ** p + 2.0 * a)
@@ -625,8 +624,8 @@ def test_contour_grid_mass_keeps_its_bits_where_the_sum_fits(p, a, mass):
 def test_contour_p1_constraint_is_a_circle():
     a = 0.5
     dens = Density(1, a)
-    g = contour_grid(dens, 2.0, 2.0, 41)
-    S, B = np.meshgrid(g.alpha_abs, g.beta, indexing="ij")
+    g = contour_grid(dens, 2.0, 41)
+    S, B = np.meshgrid(g.nodes, g.nodes, indexing="ij")
     lhs = (S + a) ** 2 + (B + a) ** 2
     rhs = 2.0 * (g.mass + a * a)
     assert np.max(np.abs(lhs - rhs)) < 1e-10

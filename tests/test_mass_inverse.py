@@ -9,8 +9,10 @@ R(a, M) = M**(1/(p+d)) * R(a * M**(-p/(p+d)), 1).
 
 import io
 import json
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,3 +215,57 @@ def test_random_acrit_vectors_never_print_a_traceback(dim, p, mass, a):
         assert None not in json.loads(out.getvalue()).values()
     elif code == 2:
         assert len(err.getvalue().strip().splitlines()) == 1
+
+
+def _run_fuzzed(argv):
+    """(exit code, stdout, stderr) of one CLI run, checked for the properties every run has."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert len(err.getvalue().strip().splitlines()) == 1
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_csv(text, rows):
+    assert len(text.splitlines()) == rows + 1  # the header, then the rows
+    assert "nan" not in text and "inf" not in text  # no header or branch name holds either
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["1", "2", "3"]), any_float, any_float, any_float, any_float,
+       st.integers(2, 40))
+def test_random_sweep_vectors_never_print_a_traceback(dim, p, mass, a_min, a_max, steps):
+    argv = ["sweep", "--dim", dim, f"--p={p!r}", f"--mass={mass!r}", f"--a-min={a_min!r}",
+            f"--a-max={a_max!r}", "--steps", str(steps)]
+    code, out, _ = _run_fuzzed(argv)
+    if code == 0:
+        _check_csv(out, steps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_float, any_float, any_float, st.integers(2, 30))
+def test_random_contour_vectors_never_print_a_traceback(p, a, mass, grid):
+    argv = ["contour", f"--p={p!r}", f"--a={a!r}", f"--mass={mass!r}", "--grid", str(grid)]
+    code, out, _ = _run_fuzzed(argv)
+    if code == 0:
+        _check_csv(out, grid * grid)
+
+
+# the spectral start does not certify at a = 0 for p >= 16, nor at any a for p >= 1e4
+@pytest.mark.uncertified_start
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3]), any_float, any_float, any_float, st.integers(0, 3))
+def test_random_evolve_vectors_never_print_a_traceback(dim, p, a, mass, iters):
+    vertices = 64 if dim == 2 else 33
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "curve.csv"
+        argv = ["evolve", "--dim", str(dim), f"--p={p!r}", f"--a={a!r}", f"--mass={mass!r}",
+                "--vertices", str(vertices), "--iters", str(iters), "--out", str(path)]
+        code, out, _ = _run_fuzzed(argv)
+        if code == 0:
+            assert json.loads(out)["dim"] == dim
+            # in 3D the curve is the profile of n nodes and its mirror image: 2(n - 1) vertices
+            _check_csv(path.read_text(), vertices if dim == 2 else 2 * (vertices - 1))

@@ -248,6 +248,9 @@ def _cmd_contour(args) -> int:
         raise ValueError("--grid must be at least 2")
     # extent: a little past the widest one-ended interval of the target mass
     extent = 1.05 * float(radial_mass_inverse(dens.p, dens.a, args.mass))
+    if not extent > 0.0:  # the endpoint underflowed
+        raise NumericError(f"contour grid: extent {extent!r} at mass {args.mass!r} "
+                           "is not positive")
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, before any output
         grid = contour_grid(dens, extent, args.grid)
     # a column is finite if its min and max are (either is NaN if a value is):

@@ -27,6 +27,13 @@ functionals are the planar ones with that weight: the radial factor of
 the fan is the integral of u**(p+1) in 2D and of u**(p+2) in 3D.
 Per-state names (_perimeter, _rev_area, ...) bind the kernels to a
 dimension; the driver looks them up by name when it runs.
+
+The kernels compute on z = x + iy: each (n, 2) vertex array is read,
+without a copy, as n complex numbers, so an edge length or radius is one
+complex abs, a fan triangle's doubled area is Im(conj(A) B) and an edge
+normal is -iE/|E|.  Gradients and normals come back as (n, 2) views of
+complex results; the driver, projection, smoother and resampler work on
+the (n, 2) rows.
 """
 
 from __future__ import annotations
@@ -60,6 +67,7 @@ _TWO_PI = 2.0 * math.pi
 _X4, _W4 = gauss_legendre_nodes(4)
 _T4 = 0.5 * (_X4 + 1.0)
 _WT4 = 0.5 * _W4
+_WT4_START, _WT4_END = _WT4 * (1.0 - _T4), _WT4 * _T4  # a node's shares of its edge's ends
 _X7, _W7 = gauss_legendre_nodes(7)
 _U7 = 0.5 * (_X7 + 1.0)
 _WU7 = 0.5 * _W7
@@ -81,12 +89,19 @@ def _prev(X: np.ndarray) -> np.ndarray:
     return np.concatenate((X[-1:], X[:-1]))
 
 
-_TURN = np.array([1.0, -1.0])
+def _z(V: np.ndarray) -> np.ndarray:
+    """The rows (x, y) of V as the numbers x + iy: a view, unless V is not C-contiguous float."""
+    return np.ascontiguousarray(V, dtype=float).view(np.complex128)[..., 0]
 
 
-def _perp(X: np.ndarray) -> np.ndarray:
-    """Rows (y, -x) for rows (x, y): each turned clockwise by a right angle."""
-    return X[:, ::-1] * _TURN
+def _rows(z: np.ndarray) -> np.ndarray:
+    """The numbers x + iy of a fresh complex array as the rows (x, y) of a view."""
+    return z.view(float).reshape(-1, 2)
+
+
+def _cross(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Twice the signed area of each fan triangle (0, A, B): Im(conj(A) B)."""
+    return (A.conj() * B).imag
 
 
 def _star_ok(V: np.ndarray, ref: np.ndarray) -> bool:
@@ -99,11 +114,11 @@ def _star_ok(V: np.ndarray, ref: np.ndarray) -> bool:
     that of the angle sum for every loop whose steps are not within
     rounding of 0 or pi.
     """
-    W = V - ref
+    W = _z(V) - _z(ref)
     Wn = _next(W)
     if not (_cross(W, Wn) > 0.0).all():
         return False
-    return int(np.count_nonzero((W[:, 1] < 0.0) & (Wn[:, 1] >= 0.0))) == 1
+    return int(np.count_nonzero((W.imag < 0.0) & (Wn.imag >= 0.0))) == 1
 
 
 def _centroid(V: np.ndarray) -> np.ndarray:
@@ -134,8 +149,7 @@ class PolyCurve:
 
     def _validate(self):
         V = self._V
-        E = _edges(V, 2)
-        if np.min(np.hypot(E[:, 0], E[:, 1])) <= 0.0:
+        if abs(_edges(V, 2)).min() <= 0.0:
             raise ValueError("curve has a zero-length edge")
         if self.unweighted_area() <= 0.0:
             raise ValueError("vertices must be ordered counterclockwise")
@@ -161,17 +175,17 @@ class PolyCurve:
         return self._V.mean(axis=0)
 
     def unweighted_perimeter(self) -> float:
-        E = _edges(self._V, 2)
-        return float(np.sum(np.hypot(E[:, 0], E[:, 1])))
+        return float(abs(_edges(self._V, 2)).sum())
 
     def unweighted_area(self) -> float:
-        Vn = _next(self._V)
-        return _volume(self._V[:, 1], Vn[:, 1], _cross(self._V, Vn), 2)
+        A, B = _ends(self._V, 2)
+        return _volume(A.imag, B.imag, _cross(A, B), 2)
 
 
 def _ends(V: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end rows of every edge: a closed loop in 2D, an open profile in 3D."""
-    return (V, _next(V)) if d == 2 else (V[:-1], V[1:])
+    """Start and end points x + iy of every edge: a closed loop in 2D, an open profile in 3D."""
+    z = _z(V)
+    return (z, _next(z)) if d == 2 else (z[:-1], z[1:])
 
 
 def _edges(V: np.ndarray, d: int) -> np.ndarray:
@@ -180,56 +194,49 @@ def _edges(V: np.ndarray, d: int) -> np.ndarray:
 
 
 def _gather(at_start: np.ndarray, at_end: np.ndarray, d: int) -> np.ndarray:
-    """Sum rows held per edge onto the vertices each edge starts and ends at."""
+    """Sum values held per edge onto the vertices each edge starts and ends at."""
     if d == 2:
         return at_start + _prev(at_end)
-    G = np.zeros((len(at_start) + 1, 2))
-    G[:-1] += at_start
+    G = np.concatenate((at_start, [0.0]))
     G[1:] += at_end
     return G
 
 
-_EY = np.array([0.0, 1.0])
-
-
 def _revolution(X: np.ndarray, d: int):
-    """(w, grad w, c) at points X: the weight c*w is 1 in 2D, 2*pi*y about the x-axis in 3D."""
-    if d == 2:
-        return 1.0, 0.0, 1.0
-    return X[..., 1], _EY, _TWO_PI
+    """(w, c) at points X: the weight c*w is 1 in 2D, 2*pi*y about the x-axis in 3D.
+
+    The 3D weight's gradient is the constant i, which the kernels add to
+    imaginary parts as the lift.
+    """
+    return (1.0, 1.0) if d == 2 else (X.imag, _TWO_PI)
 
 
 def _functional(dens: Density, V: np.ndarray, d: int) -> float:
     """Weighted perimeter (2D) or surface area (3D): edge lengths times c*w*rho at midpoints."""
     A, B = _ends(V, d)
-    E = B - A
     mid = 0.5 * (A + B)
-    L = np.hypot(E[:, 0], E[:, 1])
-    rho = np.hypot(mid[:, 0], mid[:, 1]) ** dens.p + dens.a
+    L = abs(B - A)
+    rho = abs(mid) ** dens.p + dens.a
     if d == 2:  # the weight is 1
         return float((L * rho).sum())
-    return _TWO_PI * float((mid[:, 1] * L * rho).sum())
+    return _TWO_PI * float((mid.imag * L * rho).sum())
 
 
 def _functional_grad(dens: Density, V: np.ndarray, d: int) -> np.ndarray:
     p, a = dens.p, dens.a
     A, B = _ends(V, d)
     E = B - A
-    L = np.hypot(E[:, 0], E[:, 1])
+    L = abs(E)
     mid = 0.5 * (A + B)
-    w, dw, c = _revolution(mid, d)
-    rm = np.maximum(np.hypot(mid[:, 0], mid[:, 1]), 1e-300)
+    w, c = _revolution(mid, d)
+    rm = np.maximum(abs(mid), 1e-300)
     rho = rm ** p + a
-    along = (w * rho)[:, None] * (E / L[:, None])
+    along = (w * rho / L) * E
     # d(w rho(rm))/d(mid) pulled back to the two edge vertices (factor 1/2 each)
-    radial = (0.5 * w * L * p * rm ** (p - 2.0))[:, None] * mid
-    lift = (0.5 * L * rho)[:, None] * dw
-    return c * _gather(-along + radial + lift, along + radial + lift, d)
-
-
-def _cross(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Twice the signed area of each fan triangle (0, A, B)."""
-    return A[:, 0] * B[:, 1] - A[:, 1] * B[:, 0]
+    radial = (0.5 * w * L * p * rm ** (p - 2.0)) * mid
+    if d == 3:  # the lift: the weight's gradient i, times L rho / 2 at each end
+        radial.imag += 0.5 * L * rho
+    return _rows(c * _gather(radial - along, radial + along, d))
 
 
 def _volume(yA: np.ndarray, yB: np.ndarray, cross: np.ndarray, d: int) -> float:
@@ -245,44 +252,40 @@ def _volume(yA: np.ndarray, yB: np.ndarray, cross: np.ndarray, d: int) -> float:
 def _fan_mass(dens: Density, V: np.ndarray, d: int) -> float:
     """Weighted mass: a times the fan's area or volume plus the fan integral of c*w*r**p.
 
-    Every projection step calls this kernel, so it runs on coordinate
-    columns: the edge nodes are two (4, n) arrays.
+    Every projection step calls this kernel; the edge nodes are one (4, n) array.
     """
     p = dens.p
-    xA, xB = _ends(V[:, 0], d)
-    yA, yB = _ends(V[:, 1], d)
-    cross = xA * yB - yA * xB
-    Px = xA + _T4[:, None] * (xB - xA)
-    Py = yA + _T4[:, None] * (yB - yA)
-    f = np.hypot(Px, Py) ** p
+    A, B = _ends(V, d)
+    cross = _cross(A, B)
+    P = A + _T4[:, None] * (B - A)
+    f = abs(P) ** p
     fan = _radial_factor(p + (d - 1))
     if d == 3:  # the weight 2*pi*y
-        f = Py * f
+        f = P.imag * f
         fan = _TWO_PI * fan
-    S = np.einsum("j,jn->n", _WT4, f)
-    return dens.a * _volume(yA, yB, cross, d) + fan * float((cross * S).sum())
+    return dens.a * _volume(A.imag, B.imag, cross, d) + fan * float((cross * (_WT4 @ f)).sum())
 
 
 def _fan_mass_grad(dens: Density, V: np.ndarray, d: int) -> np.ndarray:
     """The gradient of _fan_mass in the vertices."""
     p = dens.p
     A, B = _ends(V, d)
-    P = A[None, :, :] + _T4[:, None, None] * (B - A)[None, :, :]
+    P = A + _T4[:, None] * (B - A)
     cross = _cross(A, B)
-    w, dw, c = _revolution(P, d)
-    Rn = np.maximum(np.hypot(P[:, :, 0], P[:, :, 1]), 1e-300)
-    Rp = Rn ** p
+    w, c = _revolution(P, d)
+    Rn = np.maximum(abs(P), 1e-300)
     # the fan integrand w*(cp |P|^p + ca), the uniform part a*w integrated exactly by
     # the same nodes (its radial factor is 1/d), and its gradient in P
     cp, ca = c * _radial_factor(p + (d - 1)), c * dens.a / d
-    f = cp * Rp + ca
-    S = np.einsum("j,jn->n", _WT4, w * f)
-    grad_f = (cp * p * w * Rn ** (p - 2.0))[:, :, None] * P + f[:, :, None] * dw
+    f = cp * Rn ** p + ca
+    iS = 1j * (_WT4 @ (w * f))
+    grad_f = (cp * p * w * Rn ** (p - 2.0)) * P
+    if d == 3:  # the weight's gradient i, times f
+        grad_f.imag += f
     # each vertex's share of the nodes on the edges it starts and ends
-    T0 = np.einsum("j,jnk->nk", _WT4 * (1.0 - _T4), grad_f)
-    T1 = np.einsum("j,jnk->nk", _WT4 * _T4, grad_f)
-    return _gather(S[:, None] * _perp(B) + cross[:, None] * T0,
-                   cross[:, None] * T1 - S[:, None] * _perp(A), d)
+    T0, T1 = _WT4_START @ grad_f, _WT4_END @ grad_f
+    # the cross's gradient in A is -i B and in B is i A
+    return _rows(_gather(cross * T0 - iS * B, cross * T1 + iS * A, d))
 
 
 # The per-state kernels, looked up by name when the driver runs.
@@ -299,8 +302,7 @@ _rev_mass_grad = functools.partial(_fan_mass_grad, d=3)
 def weighted_perimeter_2d(dens: Density, curve: PolyCurve) -> float:
     """Weighted perimeter: sum of edge lengths times the density at edge midpoints."""
     V = curve.vertices
-    E = _edges(V, 2)
-    if np.min(np.hypot(E[:, 0], E[:, 1])) <= 0.0:
+    if abs(_edges(V, 2)).min() <= 0.0:
         raise ValueError("curve has a zero-length edge")
     return _perimeter(dens, V)
 
@@ -355,11 +357,9 @@ def _sobolev(n: int) -> np.ndarray:
 def _normals(V: np.ndarray, d: int) -> np.ndarray:
     """Unit vertex normals: the normalized sum of the two adjacent edges' normals."""
     E = _edges(V, d)
-    L = np.maximum(np.hypot(E[:, 0], E[:, 1]), 1e-300)
-    ne = _perp(E) / L[:, None]  # outward for ccw
+    ne = -1j * E / np.maximum(abs(E), 1e-300)  # outward for ccw
     nv = _gather(ne, ne, d)
-    nn = np.maximum(np.hypot(nv[:, 0], nv[:, 1]), 1e-300)
-    return nv / nn[:, None]
+    return _rows(nv / np.maximum(abs(nv), 1e-300))
 
 
 _vertex_normals = functools.partial(_normals, d=2)
@@ -413,8 +413,7 @@ def _resample(V: np.ndarray, d: int) -> np.ndarray:
     Cubic (Catmull-Rom) interpolation: a piecewise-linear resampler would
     leave C0 kinks that dominate any curvature diagnostic afterwards.
     """
-    E = _edges(V, d)
-    seg = np.hypot(E[:, 0], E[:, 1])
+    seg = abs(_edges(V, d))
     s = np.concatenate([[0.0], np.cumsum(seg)])
     targets = np.linspace(0.0, s[-1], len(V), endpoint=d == 3)
     idx = np.clip(np.searchsorted(s, targets, side="right") - 1, 0, len(seg) - 1)
@@ -631,8 +630,7 @@ def _drive(dens: Density, V: np.ndarray, M0: float, max_iters: int, tol: float,
     plateau = False
     while iterations < max_iters:
         iterations += 1
-        E = edges(V)
-        step0 = 0.1 * float(np.hypot(E[:, 0], E[:, 1]).mean())
+        step0 = 0.1 * float(abs(edges(V)).mean())
         V, per, accepted = step(dens, V, M0, per, step0, steps)
         if accepted:
             stalled = 0
@@ -708,8 +706,7 @@ def _evolve(d: int, dens: Density, M0: float, n: int, max_iters: int,
                                               mass, step, functools.partial(_edges, d=d),
                                               resample)
     A, B = _ends(V, d)
-    w, _, c = _revolution(0.5 * (A + B), d)
-    E = B - A
+    w, c = _revolution(0.5 * (A + B), d)
     cx, cy, R_fit = _fit_circle(V)
     # in 3D the curve is the full meridional cross-section: profile plus its mirror image
     closed = V if d == 2 else np.vstack([V, V[-2:0:-1] * [1.0, -1.0]])
@@ -717,8 +714,8 @@ def _evolve(d: int, dens: Density, M0: float, n: int, max_iters: int,
         final_curve=PolyCurve(closed, validate=False),
         weighted_perimeter=per,
         weighted_mass=M,
-        unweighted_perimeter=c * float((w * np.hypot(E[:, 0], E[:, 1])).sum()),
-        unweighted_area=_volume(A[:, 1], B[:, 1], _cross(A, B), d),
+        unweighted_perimeter=c * float((w * abs(B - A)).sum()),
+        unweighted_area=_volume(A.imag, B.imag, _cross(A, B), d),
         iterations=iterations,
         converged=converged,
         curvature_spread=_curvature_spread(dens, V) if d == 2 else math.nan,

@@ -794,11 +794,15 @@ def test_nonfinite_result_is_a_one_line_numeric_failure(tmp_path, capsys, argv):
     (["evolve", "--dim", "3", "--p", "1.0051312191802512e16", "--a", "3.4570810051530968e252",
       "--mass", "2.2250738585e-313", "--vertices", "33", "--iters", "0"],
      "offset 3.4570810051530968e+252 at mass 2.2250738585e-313 is past the float range"),
-], ids=["sweep-linspace", "evolve-gradient", "evolve-unit-mass-offset"])
+    (["contour", "--p", "3.185827619718356e+90", "--a", "3.185827619718356e+90",
+      "--mass", "1e-300", "--grid", "8"],
+     "contour grid: extent 0.0 at mass 1e-300 is not positive"),
+], ids=["sweep-linspace", "evolve-gradient", "evolve-unit-mass-offset", "contour-extent"])
 def test_extreme_inputs_are_one_line_numeric_failures(capsys, argv, cause):
     # found by the argument property tests: np.linspace's last offset and the
     # evolver's kernels once printed numpy overflow warnings before the failure
-    # line, and the spectral start's offset at unit mass raised OverflowError
+    # line, the spectral start's offset at unit mass raised OverflowError, and
+    # contour's extent, the one-ended endpoint underflowed to 0, was a usage error
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run_cli(capsys, *argv)

@@ -189,6 +189,177 @@ def test_rev_gradients_match_finite_differences():
         / np.max(np.abs(gM)) < 1e-5
 
 
+# The row-wise kernels the complex ones replaced, kept as a reference: each
+# vector operation runs on (n, 2) rows of (x, y).
+
+def _ref_ends(V, d):
+    return (V, np.roll(V, -1, axis=0)) if d == 2 else (V[:-1], V[1:])
+
+
+def _ref_gather(at_start, at_end, d):
+    if d == 2:
+        return at_start + np.roll(at_end, 1, axis=0)
+    G = np.zeros((len(at_start) + 1, 2))
+    G[:-1] += at_start
+    G[1:] += at_end
+    return G
+
+
+def _ref_revolution(X, d):
+    return (1.0, 0.0, 1.0) if d == 2 else (X[..., 1], np.array([0.0, 1.0]), 2 * math.pi)
+
+
+def _ref_cross(A, B):
+    return A[:, 0] * B[:, 1] - A[:, 1] * B[:, 0]
+
+
+def _ref_perp(X):
+    return X[:, ::-1] * np.array([1.0, -1.0])
+
+
+def _ref_functional(dens, V, d):
+    A, B = _ref_ends(V, d)
+    E, mid = B - A, 0.5 * (A + B)
+    w, _, c = _ref_revolution(mid, d)
+    rho = np.hypot(mid[:, 0], mid[:, 1]) ** dens.p + dens.a
+    return c * float((w * np.hypot(E[:, 0], E[:, 1]) * rho).sum())
+
+
+def _ref_functional_grad(dens, V, d):
+    p, a = dens.p, dens.a
+    A, B = _ref_ends(V, d)
+    E, mid = B - A, 0.5 * (A + B)
+    L = np.hypot(E[:, 0], E[:, 1])
+    w, dw, c = _ref_revolution(mid, d)
+    rm = np.maximum(np.hypot(mid[:, 0], mid[:, 1]), 1e-300)
+    rho = rm ** p + a
+    along = (w * rho)[:, None] * (E / L[:, None])
+    radial = (0.5 * w * L * p * rm ** (p - 2.0))[:, None] * mid
+    # the 2D lift is zero; forming it as 0 * (L rho) made it NaN where L rho overflows
+    lift = (0.5 * L * rho)[:, None] * dw if d == 3 else 0.0
+    return c * _ref_gather(-along + radial + lift, along + radial + lift, d)
+
+
+def _ref_fan_mass(dens, V, d):
+    p = dens.p
+    A, B = _ref_ends(V, d)
+    P = A[None] + ev._T4[:, None, None] * (B - A)[None]
+    cross = _ref_cross(A, B)
+    w, _, c = _ref_revolution(P, d)
+    f = w * np.hypot(P[..., 0], P[..., 1]) ** p
+    S = np.einsum("j,jn->n", ev._WT4, f)
+    uniform = 0.25 * (cross * 2.0).sum() if d == 2 else \
+        2 * math.pi / 6 * (cross * (A[:, 1] + B[:, 1])).sum()
+    return dens.a * float(uniform) + c * ev._radial_factor(p + d - 1) * float((cross * S).sum())
+
+
+def _ref_fan_mass_grad(dens, V, d):
+    p = dens.p
+    A, B = _ref_ends(V, d)
+    P = A[None] + ev._T4[:, None, None] * (B - A)[None]
+    cross = _ref_cross(A, B)
+    w, dw, c = _ref_revolution(P, d)
+    Rn = np.maximum(np.hypot(P[..., 0], P[..., 1]), 1e-300)
+    cp, ca = c * ev._radial_factor(p + d - 1), c * dens.a / d
+    f = cp * Rn ** p + ca
+    S = np.einsum("j,jn->n", ev._WT4, w * f)
+    grad_f = (cp * p * w * Rn ** (p - 2.0))[..., None] * P + f[..., None] * dw
+    T0 = np.einsum("j,jnk->nk", ev._WT4 * (1.0 - ev._T4), grad_f)
+    T1 = np.einsum("j,jnk->nk", ev._WT4 * ev._T4, grad_f)
+    return _ref_gather(S[:, None] * _ref_perp(B) + cross[:, None] * T0,
+                       cross[:, None] * T1 - S[:, None] * _ref_perp(A), d)
+
+
+def _ref_normals(V, d):
+    A, B = _ref_ends(V, d)
+    E = B - A
+    ne = _ref_perp(E) / np.maximum(np.hypot(E[:, 0], E[:, 1]), 1e-300)[:, None]
+    nv = _ref_gather(ne, ne, d)
+    return nv / np.maximum(np.hypot(nv[:, 0], nv[:, 1]), 1e-300)[:, None]
+
+
+def _ref_star_ok(V, ref):
+    W = V - ref
+    Wn = np.roll(W, -1, axis=0)
+    if not (_ref_cross(W, Wn) > 0.0).all():
+        return False
+    return int(np.count_nonzero((W[:, 1] < 0.0) & (Wn[:, 1] >= 0.0))) == 1
+
+
+def _random_states(seed):
+    """A random star-shaped loop (64-1024 vertices) and pole-pinned profile (17-257 points)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(64, 1025))
+    gaps = rng.uniform(0.2, 1.0, n)
+    theta = 2 * math.pi * np.cumsum(gaps) / gaps.sum()
+    r = 1.0 + 0.3 * rng.uniform(-1.0, 1.0) * np.sin(3 * theta) + 0.02 * rng.standard_normal(n)
+    V = rng.uniform(-0.6, 0.6, 2) + np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+    m = int(rng.integers(17, 258))
+    th = np.sort(rng.uniform(0.0, math.pi, m))
+    th[0], th[-1] = 0.0, math.pi
+    s = 1.0 + 0.2 * rng.uniform(-1.0, 1.0) * np.cos(2 * th) + 0.01 * rng.standard_normal(m)
+    W = np.column_stack([rng.uniform(-0.6, 0.6) + s * np.cos(th), s * np.sin(th)])
+    W[0, 1] = W[-1, 1] = 0.0
+    return V, W
+
+
+_KERNELS = [(ev._functional, _ref_functional), (ev._fan_mass, _ref_fan_mass),
+            (ev._functional_grad, _ref_functional_grad), (ev._fan_mass_grad, _ref_fan_mass_grad)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 4.0, 8.0])
+@pytest.mark.parametrize("a", [0.0, 0.3])
+def test_complex_kernels_match_the_row_wise_reference(seed, p, a):
+    dens = Density(p, a)
+    for d, X in zip((2, 3), _random_states(seed)):
+        for kernel, ref in _KERNELS:
+            got, want = kernel(dens, X, d), ref(dens, X, d)
+            if np.ndim(want) == 0:
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0), (kernel.__name__, d)
+            else:
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), \
+                    (kernel.__name__, d)
+        got, want = ev._normals(X, d), _ref_normals(X, d)
+        assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_complex_kernels_read_non_contiguous_vertices(seed):
+    dens = Density(1.5, 0.3)
+    for d, X in zip((2, 3), _random_states(seed)):
+        wide = np.zeros((len(X), 4))
+        wide[:, 1:3] = X
+        for strided in (wide[:, 1:3], np.asfortranarray(X), X[::-1][::-1]):
+            for kernel, _ in _KERNELS:
+                assert np.array_equal(kernel(dens, strided, d), kernel(dens, X, d))
+            assert np.array_equal(ev._normals(strided, d), ev._normals(X, d))
+        assert ev._star_ok(wide[:, 1:3], ev._centroid(X)) == ev._star_ok(X, ev._centroid(X))
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-150, 1e150])
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 4.0, 8.0])
+@pytest.mark.parametrize("a", [0.0, 0.3])
+def test_complex_kernels_fail_where_the_reference_fails(scale, p, a):
+    # past the float range a kernel's powers overflow or underflow; the
+    # complex kernels must give up on the same entries as the row-wise ones
+    # (writing r**(p - 2) as r**p / r**2 makes finite gradients 0/0 once r*r
+    # underflows, as at 1e-170)
+    dens = Density(p, a)
+    with np.errstate(all="ignore"):
+        for d, X in zip((2, 3), _random_states(7)):
+            X = scale * X
+            for kernel, ref in _KERNELS:
+                assert np.array_equal(np.isfinite(kernel(dens, X, d)),
+                                      np.isfinite(ref(dens, X, d))), (kernel.__name__, d)
+            assert np.array_equal(np.isfinite(ev._normals(X, d)),
+                                  np.isfinite(_ref_normals(X, d)))
+        if scale > 1.0 and p == 2.0:  # L rho overflows, the gradient (about 1e300) does not
+            assert np.isfinite(ev._functional_grad(dens, scale * _random_states(7)[0], 2)).all()
+
+
+
 def test_descent_steps_monotone_and_mass_conserving():
     dens = Density(2, 0.3)
     M0 = 1.0
@@ -298,6 +469,7 @@ def test_star_ok_matches_the_angle_sum(n, seed, turns, sense, wobble, offset):
     center = rng.uniform(-3.0, 3.0, 2)
     V = center + np.column_stack([r * np.cos(theta), r * np.sin(theta)])
     ref = center + np.array(offset)
+    assert ev._star_ok(V, ref) == _ref_star_ok(V, ref)
     assume(_angular_margin(V, ref) > 1e-9)
     assert ev._star_ok(V, ref) == _star_oracle(V, ref)
 
@@ -739,3 +911,24 @@ def test_benchmark_tracer_hooks_see_both_states(monkeypatch):
         for key in ("linesearch", "linesearch_accepted", "projection", "ls_projection_ok",
                     "mass_grad", "perimeter_grad", "resample", "star_check", "ls_validity"):
             assert tracer.counts["evolver." + key] > 0, (evolve.__name__, key)
+
+
+@pytest.mark.parametrize("evolve, p, a, n, iterations", [
+    (evolve_2d, 2.0, 0.2, 256, 101), (evolve_2d, 4.0, 0.1, 256, 101),
+    (evolve_2d, 2.0, 0.2, 1024, 50), (evolve_3d_axisym, 2.0, 0.1, 129, 101),
+    (evolve_3d_axisym, 4.0, 0.1, 129, 101)], ids=["2d-p2", "2d-p4", "2d-p2-n1024", "3d-p2", "3d-p4"])
+def test_benchmark_runs_keep_their_structure(monkeypatch, evolve, p, a, n, iterations):
+    # the benchmark's evolver cases, counted by its tracer: a kernel rewrite
+    # that changes the algorithm shows here as a moved count
+    tracing = _benchmark_tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    hooks = tracing.Instrumentation(tracer)
+    hooks.install()
+    try:
+        report = evolve(Density(p, a), 1.0, n=n)
+    finally:
+        hooks.remove()
+    assert report.converged and report.iterations == iterations
+    counts = tracer.counts
+    assert counts["evolver.linesearch"] == counts["evolver.perimeter_grad"] == iterations
+    assert counts["evolver.resample"] == iterations // 100

@@ -32,8 +32,19 @@ The kernels compute on z = x + iy: each (n, 2) vertex array is read,
 without a copy, as n complex numbers, so an edge length or radius is one
 complex abs, a fan triangle's doubled area is Im(conj(A) B) and an edge
 normal is -iE/|E|.  Gradients and normals come back as (n, 2) views of
-complex results; the driver, projection, smoother and resampler work on
-the (n, 2) rows.
+complex results; the smoother and resampler work on the (n, 2) rows.
+
+Each polyline's geometry lives in a _Geometry record, each array computed
+once: the edge ends, vectors, lengths and fan crosses with the record,
+the midpoints and the fan's nodes with their radii on first use.  Every
+kernel takes a record; the public wrappers and the driver make one per
+vertex array.  The projection returns the record of the curve it
+accepts, the line search hands it on, and the next iteration's
+gradients, normals and step size read the arrays the last mass and
+perimeter evaluations made.  The values keep their radii's powers; a
+gradient reuses one only where no radius is below its 1e-300 clamp, so
+every result is the same to the bit as from a fresh record.  Records
+belong to one call and none is kept.
 """
 
 from __future__ import annotations
@@ -66,6 +77,7 @@ _TWO_PI = 2.0 * math.pi
 # Quadrature nodes mapped to [0, 1]: 4 along each edge, 7 across the fan.
 _X4, _W4 = gauss_legendre_nodes(4)
 _T4 = 0.5 * (_X4 + 1.0)
+_T4_COLUMN = _T4[:, None] + 0j  # cast once: a product with complex edges casts a float column
 _WT4 = 0.5 * _W4
 _WT4_START, _WT4_END = _WT4 * (1.0 - _T4), _WT4 * _T4  # a node's shares of its edge's ends
 _X7, _W7 = gauss_legendre_nodes(7)
@@ -104,26 +116,91 @@ def _cross(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return (A.conj() * B).imag
 
 
-def _star_ok(V: np.ndarray, ref: np.ndarray) -> bool:
-    """True if the closed vertex loop winds once, monotonically, about ref.
+class _Geometry:
+    """One polyline's geometry, each array computed once and then kept.
+
+    V is the (n, 2) vertex array, z its numbers x + iy, and d picks the
+    edges: a closed loop in 2D, an open pole-to-pole profile in 3D.  The
+    edge ends A and B, the edge vectors E, their lengths L and the fan's
+    crosses (twice the signed area of each fan triangle) come with the
+    record; the midpoints and the fan's nodes, each with their radii, are
+    computed on first use.  A record describes one V, which must not
+    change while the record is in use.
+    """
+
+    def __init__(self, V: np.ndarray, d: int):
+        self.V, self.d = V, d
+        self.z = z = _z(V)
+        self.A, self.B = (z, _next(z)) if d == 2 else (z[:-1], z[1:])
+        self.E = self.B - self.A
+        self.L = abs(self.E)
+        self.cross = _cross(self.A, self.B)
+        self._mids = self._fan = self._power_mid = self._power_fan = None
+
+    def mids(self) -> tuple[np.ndarray, np.ndarray]:
+        """(mid, |mid|): the edge midpoints and their radii."""
+        if self._mids is None:
+            mid = 0.5 * (self.A + self.B)
+            self._mids = mid, abs(mid)
+        return self._mids
+
+    def fan(self) -> tuple[np.ndarray, np.ndarray]:
+        """(P, |P|): the fan's edge nodes, row j holding node j of every edge, and their radii."""
+        if self._fan is None:
+            P = self.A + _T4_COLUMN * self.E
+            self._fan = P, abs(P)
+        return self._fan
+
+    def radii(self, points: str) -> np.ndarray:
+        """The radii of the points named: "mid" (the midpoints) or "fan" (the fan's nodes)."""
+        return (self.mids() if points == "mid" else self.fan())[1]
+
+    def power(self, points: str, p: float) -> np.ndarray:
+        """radii(points) ** p, taken once: the values' form."""
+        held = getattr(self, "_power_" + points)
+        if held is None or held[0] != p:
+            held = p, self.radii(points) ** p
+            setattr(self, "_power_" + points, held)
+        return held[1]
+
+    def clamped(self, points: str, p: float) -> tuple[np.ndarray, np.ndarray]:
+        """(r, r ** p), r being radii(points) raised to at least 1e-300: the gradients' form.
+
+        Where no radius is raised, r ** p is the values' power when they
+        have taken it.
+        """
+        r = self.radii(points)
+        if not r.min() >= 1e-300:  # NaN radii take this branch too
+            r = np.maximum(r, 1e-300)
+            return r, r ** p
+        held = getattr(self, "_power_" + points)
+        return r, held[1] if held is not None and held[0] == p else r ** p
+
+
+def _star_ok(g: _Geometry, ref: np.ndarray) -> bool:
+    """True if the closed loop of g's vertices winds once, monotonically, about ref.
 
     Each step about ref turns counterclockwise by less than pi exactly when
     the cross product of consecutive rows of V - ref is positive; with all
     steps turning so, the loop's winding number counts its crossings of the
     positive x half-line, the steps from y < 0 to y >= 0.  The verdict is
     that of the angle sum for every loop whose steps are not within
-    rounding of 0 or pi.
+    rounding of 0 or pi.  A profile's loop closes along the axis.
     """
-    W = _z(V) - _z(ref)
-    Wn = _next(W)
+    c = _z(ref)
+    W = g.z - c
+    Wn = g.B - c if g.d == 2 else _next(W)  # a loop's B is z shifted by one
     if not (_cross(W, Wn) > 0.0).all():
         return False
     return int(np.count_nonzero((W.imag < 0.0) & (Wn.imag >= 0.0))) == 1
 
 
 def _centroid(V: np.ndarray) -> np.ndarray:
-    """V.mean(axis=0), bit for bit, without the wrapper's overhead."""
-    return np.add.reduce(V, axis=0) / len(V)
+    """V.mean(axis=0)'s row-order column sums, in one inner loop per column, not one per row.
+
+    Only a column of -0.0 sums otherwise (mean starts from +0.0): no star test tells them apart.
+    """
+    return np.add.accumulate(V, axis=0)[-1] / len(V)
 
 
 class PolyCurve:
@@ -149,11 +226,12 @@ class PolyCurve:
 
     def _validate(self):
         V = self._V
-        if abs(_edges(V, 2)).min() <= 0.0:
+        g = _Geometry(V, 2)
+        if g.L.min() <= 0.0:
             raise ValueError("curve has a zero-length edge")
-        if self.unweighted_area() <= 0.0:
+        if _volume(g) <= 0.0:
             raise ValueError("vertices must be ordered counterclockwise")
-        if not _star_ok(V, V.mean(axis=0)):
+        if not _star_ok(g, V.mean(axis=0)):
             raise ValueError("curve is not star-shaped about its centroid")
 
     @classmethod
@@ -175,22 +253,10 @@ class PolyCurve:
         return self._V.mean(axis=0)
 
     def unweighted_perimeter(self) -> float:
-        return float(abs(_edges(self._V, 2)).sum())
+        return float(_Geometry(self._V, 2).L.sum())
 
     def unweighted_area(self) -> float:
-        A, B = _ends(self._V, 2)
-        return _volume(A.imag, B.imag, _cross(A, B), 2)
-
-
-def _ends(V: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end points x + iy of every edge: a closed loop in 2D, an open profile in 3D."""
-    z = _z(V)
-    return (z, _next(z)) if d == 2 else (z[:-1], z[1:])
-
-
-def _edges(V: np.ndarray, d: int) -> np.ndarray:
-    A, B = _ends(V, d)
-    return B - A
+        return _volume(_Geometry(self._V, 2))
 
 
 def _gather(at_start: np.ndarray, at_end: np.ndarray, d: int) -> np.ndarray:
@@ -211,26 +277,22 @@ def _revolution(X: np.ndarray, d: int):
     return (1.0, 1.0) if d == 2 else (X.imag, _TWO_PI)
 
 
-def _functional(dens: Density, V: np.ndarray, d: int) -> float:
+def _functional(dens: Density, g: _Geometry, d: int) -> float:
     """Weighted perimeter (2D) or surface area (3D): edge lengths times c*w*rho at midpoints."""
-    A, B = _ends(V, d)
-    mid = 0.5 * (A + B)
-    L = abs(B - A)
-    rho = abs(mid) ** dens.p + dens.a
+    mid = g.mids()[0]
+    rho = g.power("mid", dens.p) + dens.a
     if d == 2:  # the weight is 1
-        return float((L * rho).sum())
-    return _TWO_PI * float((mid.imag * L * rho).sum())
+        return float((g.L * rho).sum())
+    return _TWO_PI * float((mid.imag * g.L * rho).sum())
 
 
-def _functional_grad(dens: Density, V: np.ndarray, d: int) -> np.ndarray:
+def _functional_grad(dens: Density, g: _Geometry, d: int) -> np.ndarray:
     p, a = dens.p, dens.a
-    A, B = _ends(V, d)
-    E = B - A
-    L = abs(E)
-    mid = 0.5 * (A + B)
+    E, L = g.E, g.L
+    mid = g.mids()[0]
     w, c = _revolution(mid, d)
-    rm = np.maximum(abs(mid), 1e-300)
-    rho = rm ** p + a
+    rm, rm_p = g.clamped("mid", p)
+    rho = rm_p + a
     along = (w * rho / L) * E
     # d(w rho(rm))/d(mid) pulled back to the two edge vertices (factor 1/2 each)
     radial = (0.5 * w * L * p * rm ** (p - 2.0)) * mid
@@ -239,45 +301,40 @@ def _functional_grad(dens: Density, V: np.ndarray, d: int) -> np.ndarray:
     return _rows(c * _gather(radial - along, radial + along, d))
 
 
-def _volume(yA: np.ndarray, yB: np.ndarray, cross: np.ndarray, d: int) -> float:
-    """Signed area (2D) or volume (3D) of the fan: the sum of c*cross*(w_A + w_B)/(2d).
-
-    yA, yB are the y coordinates of the edges' ends, which the 3D weight reads.
-    """
-    if d == 2:
+def _volume(g: _Geometry) -> float:
+    """Signed area (2D) or volume (3D) of the fan: the sum of c*cross*(w_A + w_B)/(2d)."""
+    cross = g.cross
+    if g.d == 2:
         return 0.25 * float((cross * 2.0).sum())
-    return _TWO_PI / 6 * float((cross * (yA + yB)).sum())
+    return _TWO_PI / 6 * float((cross * (g.A.imag + g.B.imag)).sum())
 
 
-def _fan_mass(dens: Density, V: np.ndarray, d: int) -> float:
+def _fan_mass(dens: Density, g: _Geometry, d: int) -> float:
     """Weighted mass: a times the fan's area or volume plus the fan integral of c*w*r**p.
 
     Every projection step calls this kernel; the edge nodes are one (4, n) array.
     """
     p = dens.p
-    A, B = _ends(V, d)
-    cross = _cross(A, B)
-    P = A + _T4[:, None] * (B - A)
-    f = abs(P) ** p
+    P = g.fan()[0]
+    f = g.power("fan", p)
     fan = _radial_factor(p + (d - 1))
     if d == 3:  # the weight 2*pi*y
         f = P.imag * f
         fan = _TWO_PI * fan
-    return dens.a * _volume(A.imag, B.imag, cross, d) + fan * float((cross * (_WT4 @ f)).sum())
+    return dens.a * _volume(g) + fan * float((g.cross * (_WT4 @ f)).sum())
 
 
-def _fan_mass_grad(dens: Density, V: np.ndarray, d: int) -> np.ndarray:
+def _fan_mass_grad(dens: Density, g: _Geometry, d: int) -> np.ndarray:
     """The gradient of _fan_mass in the vertices."""
     p = dens.p
-    A, B = _ends(V, d)
-    P = A + _T4[:, None] * (B - A)
-    cross = _cross(A, B)
+    A, B, cross = g.A, g.B, g.cross
+    P = g.fan()[0]
     w, c = _revolution(P, d)
-    Rn = np.maximum(abs(P), 1e-300)
+    Rn, Rn_p = g.clamped("fan", p)
     # the fan integrand w*(cp |P|^p + ca), the uniform part a*w integrated exactly by
     # the same nodes (its radial factor is 1/d), and its gradient in P
     cp, ca = c * _radial_factor(p + (d - 1)), c * dens.a / d
-    f = cp * Rn ** p + ca
+    f = cp * Rn_p + ca
     iS = 1j * (_WT4 @ (w * f))
     grad_f = (cp * p * w * Rn ** (p - 2.0)) * P
     if d == 3:  # the weight's gradient i, times f
@@ -301,10 +358,10 @@ _rev_mass_grad = functools.partial(_fan_mass_grad, d=3)
 
 def weighted_perimeter_2d(dens: Density, curve: PolyCurve) -> float:
     """Weighted perimeter: sum of edge lengths times the density at edge midpoints."""
-    V = curve.vertices
-    if abs(_edges(V, 2)).min() <= 0.0:
+    g = _Geometry(curve.vertices, 2)
+    if g.L.min() <= 0.0:
         raise ValueError("curve has a zero-length edge")
-    return _perimeter(dens, V)
+    return _perimeter(dens, g)
 
 
 def weighted_mass_2d(dens: Density, curve: PolyCurve) -> float:
@@ -315,19 +372,20 @@ def weighted_mass_2d(dens: Density, curve: PolyCurve) -> float:
     about its centroid.
     """
     V = curve.vertices
-    if not _star_ok(V, V.mean(axis=0)):
+    g = _Geometry(V, 2)
+    if not _star_ok(g, V.mean(axis=0)):
         raise ValueError("curve is not star-shaped about its centroid")
-    return _mass(dens, V)
+    return _mass(dens, g)
 
 
 def perimeter_gradient_2d(dens: Density, curve: PolyCurve) -> np.ndarray:
     """Analytic gradient of the weighted perimeter with respect to each vertex."""
-    return _perimeter_grad(dens, curve.vertices)
+    return _perimeter_grad(dens, _Geometry(curve.vertices, 2))
 
 
 def mass_gradient_2d(dens: Density, curve: PolyCurve) -> np.ndarray:
     """Analytic gradient of the weighted mass with respect to each vertex."""
-    return _mass_grad(dens, curve.vertices)
+    return _mass_grad(dens, _Geometry(curve.vertices, 2))
 
 
 def _smooth(field: np.ndarray, d: int) -> np.ndarray:
@@ -354,10 +412,9 @@ def _sobolev(n: int) -> np.ndarray:
     return mult
 
 
-def _normals(V: np.ndarray, d: int) -> np.ndarray:
+def _normals(g: _Geometry, d: int) -> np.ndarray:
     """Unit vertex normals: the normalized sum of the two adjacent edges' normals."""
-    E = _edges(V, d)
-    ne = -1j * E / np.maximum(abs(E), 1e-300)  # outward for ccw
+    ne = -1j * g.E / np.maximum(g.L, 1e-300)  # outward for ccw
     nv = _gather(ne, ne, d)
     return _rows(nv / np.maximum(abs(nv), 1e-300))
 
@@ -365,8 +422,8 @@ def _normals(V: np.ndarray, d: int) -> np.ndarray:
 _vertex_normals = functools.partial(_normals, d=2)
 
 
-def _project(dens: Density, V: np.ndarray, M0: float, mass, mass_grad, normals,
-             chord) -> np.ndarray:
+def _project(dens: Density, g: _Geometry, M0: float, mass, mass_grad, normals,
+             chord) -> _Geometry:
     """Restore the mass to a relative 1e-10 by offsets along normals.
 
     The residual comes from the mass-only kernel.  chord, (N, slope) of
@@ -375,29 +432,30 @@ def _project(dens: Density, V: np.ndarray, M0: float, mass, mass_grad, normals,
     without one, when its slope is not positive, and from the first chord
     step that does not shrink the residual on, each offset is a Newton
     step along the state's own normals with a fresh mass gradient.
-    A V whose mass is already within tolerance is returned itself.
+    Returns the record of the accepted curve: g itself when its mass is
+    already within tolerance.
     """
     N, slope = chord if chord is not None else (None, 0.0)
     newton = not slope > 0.0
     last = math.inf
     for _ in range(15):
-        resid = mass(dens, V) - M0
+        resid = mass(dens, g) - M0
         if abs(resid) <= 1e-10 * M0:
-            return V
+            return g
         if newton or not abs(resid) < last:
             newton = True
-            N = normals(V)
-            slope = float((mass_grad(dens, V) * N).sum())
+            N = normals(g)
+            slope = float((mass_grad(dens, g) * N).sum())
             if slope <= 0.0:
                 raise NumericError("mass projection lost its outward slope")
         last = abs(resid)
-        V = V + (-resid / slope) * N
+        g = _Geometry(g.V + (-resid / slope) * N, g.d)
     raise NumericError("mass projection did not converge")
 
 
-def _project_mass(dens: Density, V: np.ndarray, M0: float, chord=None) -> np.ndarray:
+def _project_mass(dens: Density, g: _Geometry, M0: float, chord=None) -> _Geometry:
     """Mass projection of a closed polygon along its vertex normals."""
-    return _project(dens, V, M0, _mass, _mass_grad, _vertex_normals, chord)
+    return _project(dens, g, M0, _mass, _mass_grad, _vertex_normals, chord)
 
 
 def _catmull_rom(P0, P1, P2, P3, t):
@@ -407,13 +465,13 @@ def _catmull_rom(P0, P1, P2, P3, t):
                   + (3.0 * P1 - P0 - 3.0 * P2 + P3) * t * t * t)
 
 
-def _resample(V: np.ndarray, d: int) -> np.ndarray:
+def _resample(g: _Geometry, d: int) -> np.ndarray:
     """Redistribute vertices uniformly in arc length along the loop or the profile.
 
     Cubic (Catmull-Rom) interpolation: a piecewise-linear resampler would
     leave C0 kinks that dominate any curvature diagnostic afterwards.
     """
-    seg = abs(_edges(V, d))
+    V, seg = g.V, g.L
     s = np.concatenate([[0.0], np.cumsum(seg)])
     targets = np.linspace(0.0, s[-1], len(V), endpoint=d == 3)
     idx = np.clip(np.searchsorted(s, targets, side="right") - 1, 0, len(seg) - 1)
@@ -443,14 +501,15 @@ def _fit_circle(V: np.ndarray) -> tuple[float, float, float]:
     return float(cx) * scale, float(cy) * scale, R * scale
 
 
-def _curvature_spread(dens: Density, V: np.ndarray) -> float:
-    """Relative spread of the generalized curvature over the vertices.
+def _curvature_spread(dens: Density, g: _Geometry) -> float:
+    """Relative spread of the generalized curvature over a loop's vertices.
 
     Uses finite differences of r(theta) in the polar parametrization about
     the origin; NaN when the origin is not safely interior.
     """
+    V = g.V
     r = np.hypot(V[:, 0], V[:, 1])
-    if not _star_ok(V, np.zeros(2)) or np.min(r) < 1e-3 * np.max(r):
+    if not _star_ok(g, np.zeros(2)) or np.min(r) < 1e-3 * np.max(r):
         return math.nan
     theta = np.unwrap(np.arctan2(V[:, 1], V[:, 0]))
     h1 = theta - _prev(theta)
@@ -521,9 +580,9 @@ def _first_trial(step0: float, last: float) -> float:
     return min(2.0 * last, step0) if last > 0.0 else step0
 
 
-def _line_search(dens: Density, V: np.ndarray, M0: float, per: float, dhat: np.ndarray,
+def _line_search(dens: Density, g: _Geometry, M0: float, per: float, dhat: np.ndarray,
                  step0: float, chord, ok, project, functional
-                 ) -> tuple[np.ndarray, float, float, float]:
+                 ) -> tuple[_Geometry, float, float, float]:
     """Backtracking move along dhat (unit max-displacement) with mass re-projection.
 
     Each trial is projected with chord, the (normals, mass slope) pair of
@@ -532,9 +591,11 @@ def _line_search(dens: Density, V: np.ndarray, M0: float, per: float, dhat: np.n
     and ok holds both before and after the projection.  The cheap
     functional test runs first and the validity tests only on trials that
     pass it; a projection that returns its input unchanged is tested once.
+    Each trial is a record, which ok, project and functional share.
 
-    Returns (V, functional, step, memory): step is the accepted step
-    length, or 0.0 (and the input V, per) when no trial was accepted.
+    Returns (record, functional, step, memory): the accepted curve's
+    record and step length, or the input g, per and 0.0 when no trial was
+    accepted.
     memory, from which _first_trial starts the next search, is the
     accepted step or, after a failure, the smallest trial made (step0 if
     none was): a direction that has stopped descending is not halved
@@ -542,20 +603,20 @@ def _line_search(dens: Density, V: np.ndarray, M0: float, per: float, dhat: np.n
     Halving stops at 1e-14 of the state's extent, so a tiny curve is
     searched as a large one is.
     """
-    floor = 1e-14 * float(np.abs(V).max())
+    floor = 1e-14 * float(np.abs(g.V).max())
     t = step0
     while t > floor:
-        Vt = V + t * dhat
+        trial = _Geometry(g.V + t * dhat, g.d)
         try:
-            Vp = project(dens, Vt, M0, chord)
+            projected = project(dens, trial, M0, chord)
         except NumericError:
             t *= 0.5
             continue
-        pt = functional(dens, Vp)
-        if pt < per and ok(Vt) and (Vp is Vt or ok(Vp)):
-            return Vp, pt, t, t
+        pt = functional(dens, projected)
+        if pt < per and ok(trial) and (projected is trial or ok(projected)):
+            return projected, pt, t, t
         t *= 0.5
-    return V, per, 0.0, min(2.0 * t, step0)
+    return g, per, 0.0, min(2.0 * t, step0)
 
 
 def _unit(direction: np.ndarray):
@@ -564,10 +625,10 @@ def _unit(direction: np.ndarray):
     return direction / dmax if dmax > 1e-300 else None
 
 
-def _descend(dens: Density, V: np.ndarray, M0: float, per: float, step0: float,
+def _descend(dens: Density, g: _Geometry, M0: float, per: float, step0: float,
              steps: list[float], functional_grad, mass_grad, normals, smooth, pin,
-             search) -> tuple[np.ndarray, float, bool]:
-    """One projected-descent iteration; returns (V, functional, accepted).
+             search) -> tuple[_Geometry, float, bool]:
+    """One projected-descent iteration of the iterate g; returns (record, functional, accepted).
 
     The direction is -grad(P) with its component along grad(M) removed,
     Sobolev-smoothed (see _smooth) and projected onto the mass tangent
@@ -582,13 +643,13 @@ def _descend(dens: Density, V: np.ndarray, M0: float, per: float, step0: float,
     list is updated in place.  The search projects its trials with the
     iterate's normals and mass slope (see _project).
     """
-    gP = pin(functional_grad(dens, V))
-    gM = pin(mass_grad(dens, V))
-    N = normals(V)
+    gP = pin(functional_grad(dens, g))
+    gM = pin(mass_grad(dens, g))
+    N = normals(g)
     chord = (N, float((gM * N).sum()))
     # the inner products take copies scaled by exact powers of two: at
     # huge masses |gM| passes 1e154 and its square overflows
-    gP, gM = (np.ldexp(g, -np.frexp(np.abs(g).max())[1]) for g in (gP, gM))
+    gP, gM = (np.ldexp(G, -math.frexp(float(np.abs(G).max()))[1]) for G in (gP, gM))
     gM2 = float((gM * gM).sum())
     if not gM2 > 0.0:  # the whole gradient underflowed
         raise NumericError("mass gradient vanished")
@@ -596,9 +657,9 @@ def _descend(dens: Density, V: np.ndarray, M0: float, per: float, step0: float,
     ds = smooth(-gP + lam * gM)
     dhat = _unit(pin(ds - (float((ds * gM).sum()) / gM2) * gM))
     if dhat is None:
-        return V, per, False
-    V, per, step, steps[0] = search(dens, V, M0, per, dhat, _first_trial(step0, steps[0]), chord)
-    return V, per, step > 0.0
+        return g, per, False
+    g, per, step, steps[0] = search(dens, g, M0, per, dhat, _first_trial(step0, steps[0]), chord)
+    return g, per, step > 0.0
 
 
 def _check_run(M0: float, max_iters: int, tol: float) -> None:
@@ -610,18 +671,19 @@ def _check_run(M0: float, max_iters: int, tol: float) -> None:
         raise ValueError(f"tol must be nonnegative and finite, got {tol}")
 
 
-def _drive(dens: Density, V: np.ndarray, M0: float, max_iters: int, tol: float,
-           project, functional, mass, step, edges, resample):
-    """Project V onto the mass constraint and descend until the run stops.
+def _drive(dens: Density, g: _Geometry, M0: float, max_iters: int, tol: float,
+           project, functional, mass, step, resample):
+    """Project the record g onto the mass constraint and descend until the run stops.
 
     Stops when the functional's relative decrease over 50 iterations falls
     below tol or after 25 iterations in a row without an accepted step;
     resamples after every 100 accepted steps and then forgets the line
-    search's memory, as at the start.  Returns (V, functional, mass,
-    iterations, converged).
+    search's memory, as at the start.  Each iteration starts from the
+    record the last projection returned.  Returns (record, functional,
+    mass, iterations, converged).
     """
-    V = project(dens, V, M0)
-    per = functional(dens, V)
+    g = project(dens, g, M0)
+    per = functional(dens, g)
     iterations = 0
     history = [per]
     steps = [0.0]  # the line search's memory
@@ -630,8 +692,8 @@ def _drive(dens: Density, V: np.ndarray, M0: float, max_iters: int, tol: float,
     plateau = False
     while iterations < max_iters:
         iterations += 1
-        step0 = 0.1 * float(abs(edges(V)).mean())
-        V, per, accepted = step(dens, V, M0, per, step0, steps)
+        step0 = 0.1 * float(np.add.reduce(g.L) / len(g.L))  # the mean edge, as L.mean()
+        g, per, accepted = step(dens, g, M0, per, step0, steps)
         if accepted:
             stalled = 0
             since_resample += 1
@@ -644,27 +706,27 @@ def _drive(dens: Density, V: np.ndarray, M0: float, max_iters: int, tol: float,
             plateau = True
             break
         if since_resample >= 100:
-            V = project(dens, resample(V), M0)
-            per = functional(dens, V)
+            g = project(dens, _Geometry(resample(g), g.d), M0)
+            per = functional(dens, g)
             steps = [0.0]
             since_resample = 0
-    M = mass(dens, V)
+    M = mass(dens, g)
     converged = abs(M - M0) <= 1e-8 * M0 and (plateau or stalled >= 25)
-    return V, per, M, iterations, bool(converged)
+    return g, per, M, iterations, bool(converged)
 
 
-def _try_direction(dens: Density, V: np.ndarray, M0: float, per: float, dhat: np.ndarray,
-                   step0: float, chord) -> tuple[np.ndarray, float, float, float]:
+def _try_direction(dens: Density, g: _Geometry, M0: float, per: float, dhat: np.ndarray,
+                   step0: float, chord) -> tuple[_Geometry, float, float, float]:
     """Line search for a closed polygon, which must stay star-shaped."""
-    return _line_search(dens, V, M0, per, dhat, step0, chord,
-                        lambda Vt: _star_ok(Vt, _centroid(Vt)), _project_mass, _perimeter)
+    return _line_search(dens, g, M0, per, dhat, step0, chord,
+                        lambda t: _star_ok(t, _centroid(t.V)), _project_mass, _perimeter)
 
 
-def descent_step(dens: Density, V: np.ndarray, M0: float, per: float,
-                 step0: float, steps: list[float]) -> tuple[np.ndarray, float, bool]:
-    """One projected-descent iteration of a closed polygon (see _descend)."""
-    return _descend(dens, V, M0, per, step0, steps, _perimeter_grad, _mass_grad,
-                    _vertex_normals, functools.partial(_smooth, d=2), lambda g: g, _try_direction)
+def descent_step(dens: Density, g: _Geometry, M0: float, per: float,
+                 step0: float, steps: list[float]) -> tuple[_Geometry, float, bool]:
+    """One projected-descent iteration of a closed polygon's record (see _descend)."""
+    return _descend(dens, g, M0, per, step0, steps, _perimeter_grad, _mass_grad,
+                    _vertex_normals, functools.partial(_smooth, d=2), lambda G: G, _try_direction)
 
 
 def evolve_2d(dens: Density, M0: float, n: int = 256, max_iters: int = 4000,
@@ -702,11 +764,10 @@ def _evolve(d: int, dens: Density, M0: float, n: int, max_iters: int,
     project, functional, mass, step, resample = (
         (_project_mass, _perimeter, _mass, descent_step, _resample_closed) if d == 2 else
         (_project_mass_rev, _rev_area, _rev_mass, _rev_step, _resample_profile))
-    V, per, M, iterations, converged = _drive(dens, V, M0, max_iters, tol, project, functional,
-                                              mass, step, functools.partial(_edges, d=d),
-                                              resample)
-    A, B = _ends(V, d)
-    w, c = _revolution(0.5 * (A + B), d)
+    g, per, M, iterations, converged = _drive(dens, _Geometry(V, d), M0, max_iters, tol,
+                                              project, functional, mass, step, resample)
+    V = g.V
+    w, c = _revolution(g.mids()[0], d)
     cx, cy, R_fit = _fit_circle(V)
     # in 3D the curve is the full meridional cross-section: profile plus its mirror image
     closed = V if d == 2 else np.vstack([V, V[-2:0:-1] * [1.0, -1.0]])
@@ -714,11 +775,11 @@ def _evolve(d: int, dens: Density, M0: float, n: int, max_iters: int,
         final_curve=PolyCurve(closed, validate=False),
         weighted_perimeter=per,
         weighted_mass=M,
-        unweighted_perimeter=c * float((w * abs(B - A)).sum()),
-        unweighted_area=_volume(A.imag, B.imag, _cross(A, B), d),
+        unweighted_perimeter=c * float((w * g.L).sum()),
+        unweighted_area=_volume(g),
         iterations=iterations,
         converged=converged,
-        curvature_spread=_curvature_spread(dens, V) if d == 2 else math.nan,
+        curvature_spread=_curvature_spread(dens, g) if d == 2 else math.nan,
         radius_estimate=R_fit,
         center_offset_estimate=float(math.hypot(cx, cy if d == 2 else 0.0)),
     )
@@ -735,8 +796,8 @@ def _pin_poles(G: np.ndarray) -> np.ndarray:
     return G
 
 
-def _profile_normals(W: np.ndarray) -> np.ndarray:
-    N = _normals(W, 3)
+def _profile_normals(g: _Geometry) -> np.ndarray:
+    N = _normals(g, 3)
     # poles move along the axis only (so offsets along N keep them on it);
     # the profile runs right pole -> left pole
     N[0] = [1.0, 0.0]
@@ -744,39 +805,40 @@ def _profile_normals(W: np.ndarray) -> np.ndarray:
     return N
 
 
-def _profile_ok(W: np.ndarray) -> bool:
+def _profile_ok(g: _Geometry) -> bool:
+    W = g.V
     if (W[1:-1, 1] <= 0.0).any():
         return False
     if W[0, 0] <= W[-1, 0]:
         return False
     # closing the profile back along the axis must give a star-shaped loop
-    return _star_ok(W, _centroid(W))
+    return _star_ok(g, _centroid(W))
 
 
-def _project_mass_rev(dens: Density, W: np.ndarray, M0: float, chord=None) -> np.ndarray:
+def _project_mass_rev(dens: Density, g: _Geometry, M0: float, chord=None) -> _Geometry:
     """Mass projection of a profile; the pole normals keep the poles on the axis."""
-    return _project(dens, W, M0, _rev_mass, _rev_mass_grad, _profile_normals, chord)
+    return _project(dens, g, M0, _rev_mass, _rev_mass_grad, _profile_normals, chord)
 
 
-def _resample_profile(W: np.ndarray) -> np.ndarray:
+def _resample_profile(g: _Geometry) -> np.ndarray:
     """Resample a profile (see _resample); the poles stay where they were."""
-    out = _resample(W, 3)
-    out[0], out[-1] = W[0], W[-1]
+    out = _resample(g, 3)
+    out[0], out[-1] = g.V[0], g.V[-1]
     return _pin_poles(out)
 
 
-def _try_direction_rev(dens: Density, W: np.ndarray, M0: float, area: float,
+def _try_direction_rev(dens: Density, g: _Geometry, M0: float, area: float,
                        dhat: np.ndarray, step0: float, chord
-                       ) -> tuple[np.ndarray, float, float, float]:
+                       ) -> tuple[_Geometry, float, float, float]:
     """Line search for a profile; dhat must keep the poles' y at zero, as _descend's do."""
-    return _line_search(dens, W, M0, area, dhat, step0, chord, _profile_ok,
+    return _line_search(dens, g, M0, area, dhat, step0, chord, _profile_ok,
                         _project_mass_rev, _rev_area)
 
 
-def _rev_step(dens: Density, W: np.ndarray, M0: float, area: float,
-              step0: float, steps: list[float]) -> tuple[np.ndarray, float, bool]:
-    """One projected-descent iteration of a profile (see _descend)."""
-    return _descend(dens, W, M0, area, step0, steps, _rev_area_grad, _rev_mass_grad,
+def _rev_step(dens: Density, g: _Geometry, M0: float, area: float,
+              step0: float, steps: list[float]) -> tuple[_Geometry, float, bool]:
+    """One projected-descent iteration of a profile's record (see _descend)."""
+    return _descend(dens, g, M0, area, step0, steps, _rev_area_grad, _rev_mass_grad,
                     _profile_normals, functools.partial(_smooth, d=3), _pin_poles,
                     _try_direction_rev)
 

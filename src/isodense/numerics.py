@@ -1,5 +1,5 @@
-"""Shared numerical kernels: bracketed bisection, golden-section search,
-Gauss-Legendre quadrature and finite differences.
+"""Shared numerical kernels: bracketed bisection, golden-section search and
+Gauss-Legendre quadrature.
 
 Everything here is a stateless pure function.  No solver finds a root
 here: every radius and endpoint fixed by a mass comes from
@@ -21,8 +21,6 @@ __all__ = [
     "golden_min",
     "gauss_legendre",
     "gauss_legendre_nodes",
-    "central_diff",
-    "central_second_diff",
 ]
 
 # Supported Gauss-Legendre orders: 4 and 7 for the evolver's fan rule, 16 and 64 for
@@ -138,12 +136,3 @@ def gauss_legendre(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
     half = 0.5 * (hi - lo)
     return float(half * np.sum(w * np.asarray(f(mid + half * x), dtype=float)))
 
-
-def central_diff(f: Callable[[float], float], x: float, h: float = 1e-5) -> float:
-    """Central first-difference approximation of f'(x)."""
-    return (f(x + h) - f(x - h)) / (2.0 * h)
-
-
-def central_second_diff(f: Callable[[float], float], x: float, h: float = 1e-4) -> float:
-    """Central second-difference approximation of f''(x)."""
-    return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)

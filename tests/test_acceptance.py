@@ -37,7 +37,7 @@ from isodense import (
     solve_p2,
     solve_p_lt_1,
 )
-from isodense.evolver import _mass, _mass_grad, _perimeter, _perimeter_grad
+from isodense.evolver import _Geometry, _mass, _mass_grad, _perimeter, _perimeter_grad
 from isodense.interval1d import _beta_p_lt_1_closed
 
 
@@ -213,8 +213,8 @@ def test_criterion_10_gradient_and_quadrature_hygiene():
             cx, cy = rng.uniform(-0.3, 0.3, size=2)
             V = np.column_stack([cx + r * np.cos(theta), cy + r * np.sin(theta)])
             dens = Density(float(rng.uniform(0.6, 4.0)), float(rng.uniform(0.0, 1.5)))
-            gP = _perimeter_grad(dens, V)
-            gM = _mass_grad(dens, V)
+            gP = _perimeter_grad(dens, _Geometry(V, 2))
+            gM = _mass_grad(dens, _Geometry(V, 2))
             h = 1e-6
             for g, f in ((gP, _perimeter), (gM, _mass)):
                 fd = np.zeros_like(V)
@@ -222,7 +222,8 @@ def test_criterion_10_gradient_and_quadrature_hygiene():
                     for j in range(2):
                         Vp = V.copy(); Vp[i, j] += h
                         Vm = V.copy(); Vm[i, j] -= h
-                        fd[i, j] = (f(dens, Vp) - f(dens, Vm)) / (2.0 * h)
+                        fd[i, j] = (f(dens, _Geometry(Vp, 2))
+                                    - f(dens, _Geometry(Vm, 2))) / (2.0 * h)
                 assert np.max(np.abs(g - fd)) / np.max(np.abs(fd)) < 1e-5
 
         for _ in range(6):

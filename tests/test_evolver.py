@@ -1,10 +1,13 @@
 import math
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from isodense import (
@@ -26,6 +29,7 @@ import isodense.evolver as ev
 import isodense.spectral as sp
 from isodense.density import critical_offset
 from isodense.evolver import (
+    _Geometry,
     _mass,
     _mass_grad,
     _perimeter,
@@ -155,10 +159,10 @@ def test_analytic_gradients_match_finite_differences():
                     G[i, j] = (f(Vp) - f(Vm)) / (2 * h)
             return G
 
-        gP = _perimeter_grad(dens, V)
-        gM = _mass_grad(dens, V)
-        gP_fd = fd(lambda W: _perimeter(dens, W))
-        gM_fd = fd(lambda W: _mass(dens, W))
+        gP = _perimeter_grad(dens, _Geometry(V, 2))
+        gM = _mass_grad(dens, _Geometry(V, 2))
+        gP_fd = fd(lambda W: _perimeter(dens, _Geometry(W, 2)))
+        gM_fd = fd(lambda W: _mass(dens, _Geometry(W, 2)))
         assert np.max(np.abs(gP - gP_fd)) / np.max(np.abs(gP_fd)) < 1e-5
         assert np.max(np.abs(gM - gM_fd)) / np.max(np.abs(gM_fd)) < 1e-5
 
@@ -181,11 +185,11 @@ def test_rev_gradients_match_finite_differences():
                 G[i, j] = (f(Wp) - f(Wm)) / (2 * h)
         return G
 
-    gS = _rev_area_grad(dens, W)
-    gM = _rev_mass_grad(dens, W)
-    assert np.max(np.abs(gS - fd(lambda X: _rev_area(dens, X)))) \
+    gS = _rev_area_grad(dens, _Geometry(W, 3))
+    gM = _rev_mass_grad(dens, _Geometry(W, 3))
+    assert np.max(np.abs(gS - fd(lambda X: _rev_area(dens, _Geometry(X, 3))))) \
         / np.max(np.abs(gS)) < 1e-5
-    assert np.max(np.abs(gM - fd(lambda X: _rev_mass(dens, X)))) \
+    assert np.max(np.abs(gM - fd(lambda X: _rev_mass(dens, _Geometry(X, 3))))) \
         / np.max(np.abs(gM)) < 1e-5
 
 
@@ -314,14 +318,14 @@ def test_complex_kernels_match_the_row_wise_reference(seed, p, a):
     dens = Density(p, a)
     for d, X in zip((2, 3), _random_states(seed)):
         for kernel, ref in _KERNELS:
-            got, want = kernel(dens, X, d), ref(dens, X, d)
+            got, want = kernel(dens, _Geometry(X, d), d), ref(dens, X, d)
             if np.ndim(want) == 0:
                 assert got == pytest.approx(want, rel=1e-13, abs=0.0), (kernel.__name__, d)
             else:
                 assert got.shape == want.shape
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), \
                     (kernel.__name__, d)
-        got, want = ev._normals(X, d), _ref_normals(X, d)
+        got, want = ev._normals(_Geometry(X, d), d), _ref_normals(X, d)
         assert np.abs(got - want).max() <= 1e-12
 
 
@@ -333,9 +337,12 @@ def test_complex_kernels_read_non_contiguous_vertices(seed):
         wide[:, 1:3] = X
         for strided in (wide[:, 1:3], np.asfortranarray(X), X[::-1][::-1]):
             for kernel, _ in _KERNELS:
-                assert np.array_equal(kernel(dens, strided, d), kernel(dens, X, d))
-            assert np.array_equal(ev._normals(strided, d), ev._normals(X, d))
-        assert ev._star_ok(wide[:, 1:3], ev._centroid(X)) == ev._star_ok(X, ev._centroid(X))
+                assert np.array_equal(kernel(dens, _Geometry(strided, d), d),
+                                      kernel(dens, _Geometry(X, d), d))
+            assert np.array_equal(ev._normals(_Geometry(strided, d), d),
+                                  ev._normals(_Geometry(X, d), d))
+        assert ev._star_ok(_Geometry(wide[:, 1:3], 2), ev._centroid(X)) \
+            == ev._star_ok(_Geometry(X, 2), ev._centroid(X))
 
 
 @pytest.mark.parametrize("scale", [1e-170, 1e-150, 1e150])
@@ -351,50 +358,141 @@ def test_complex_kernels_fail_where_the_reference_fails(scale, p, a):
         for d, X in zip((2, 3), _random_states(7)):
             X = scale * X
             for kernel, ref in _KERNELS:
-                assert np.array_equal(np.isfinite(kernel(dens, X, d)),
+                assert np.array_equal(np.isfinite(kernel(dens, _Geometry(X, d), d)),
                                       np.isfinite(ref(dens, X, d))), (kernel.__name__, d)
-            assert np.array_equal(np.isfinite(ev._normals(X, d)),
+            assert np.array_equal(np.isfinite(ev._normals(_Geometry(X, d), d)),
                                   np.isfinite(_ref_normals(X, d)))
         if scale > 1.0 and p == 2.0:  # L rho overflows, the gradient (about 1e300) does not
-            assert np.isfinite(ev._functional_grad(dens, scale * _random_states(7)[0], 2)).all()
+            V = scale * _random_states(7)[0]
+            assert np.isfinite(ev._functional_grad(dens, _Geometry(V, 2), 2)).all()
+
+
+def _driver_order(dens, d):
+    """The kernels the driver runs on one record, in its order, each as a function of it.
+
+    The last projection step's mass, the search's functional and validity
+    test, the next iteration's gradients, normals and step size, and the
+    run's final mass.
+    """
+    ok = ((lambda g: ev._star_ok(g, ev._centroid(g.V))) if d == 2 else ev._profile_ok)
+    return [("mass", lambda g: ev._fan_mass(dens, g, d)),
+            ("functional", lambda g: ev._functional(dens, g, d)),
+            ("valid", ok),
+            ("functional_grad", lambda g: ev._functional_grad(dens, g, d)),
+            ("mass_grad", lambda g: ev._fan_mass_grad(dens, g, d)),
+            ("normals", lambda g: ev._normals(g, d)),
+            ("step0", lambda g: 0.1 * float(np.add.reduce(g.L) / len(g.L))),
+            ("final mass", lambda g: ev._fan_mass(dens, g, d))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.sampled_from([0.5, 1.0, 1.5, 2.0, 4.0, 8.0]),
+       a=st.sampled_from([0.0, 0.3]), scale=st.sampled_from([1.0, 1e-305, 1e-170, 1e150]))
+# below the 1e-300 radius clamp at p = 1, a = 0 the values' r**p is 1e5 times the
+# gradients' clamped one, which the perimeter gradient's tangential part carries
+@example(seed=0, p=1.0, a=0.0, scale=1e-305)
+def test_kernels_on_a_shared_record_equal_those_on_a_fresh_one(seed, p, a, scale):
+    # the driver shares one record between its kernels: what the values
+    # keep (radii, their powers, crosses, lengths) must give every later
+    # kernel the bits it gives on a record of its own, also where a radius
+    # is clamped (1e-305), r*r underflows (1e-170) or L*rho overflows (1e150)
+    dens = Density(p, a)
+    with np.errstate(all="ignore"):
+        for d, X in zip((2, 3), _random_states(seed)):
+            X = scale * X
+            shared = _Geometry(X, d)
+            for name, kernel in _driver_order(dens, d):
+                got, want = kernel(shared), kernel(_Geometry(X, d))
+                if isinstance(want, bool):
+                    assert got is want, (name, d)
+                else:
+                    assert np.array_equal(got, want, equal_nan=True), (name, d)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-305, 1e-170, 1e150])
+def test_centroid_is_the_mean_to_the_bit(scale):
+    # the star test's reference point: V.mean(axis=0)'s row-order sums
+    for seed in range(8):
+        for X in _random_states(seed):
+            X = scale * X
+            assert np.array_equal(ev._centroid(X), X.mean(axis=0))
+            assert np.array_equal(ev._centroid(-X), (-X).mean(axis=0))
+
+
+def _outcome(report):
+    return (report.final_curve.vertices.tobytes(), report.weighted_perimeter,
+            report.weighted_mass, report.iterations, report.converged)
+
+
+_RUNS = [(evolve_2d, Density(2.0, 0.2), 128), (evolve_3d_axisym, Density(4.0, 0.1), 65),
+         (evolve_2d, Density(4.0, 0.1), 96), (evolve_3d_axisym, Density(2.0, 0.3), 33)]
+
+
+def _run(i):
+    evolve, dens, n = _RUNS[i]
+    return _outcome(evolve(dens, 1.0, n=n, max_iters=150))
+
+
+def test_runs_share_no_state_between_calls_or_threads():
+    # no cache outlives a call: interleaved 2D and 3D calls, and two calls
+    # with different inputs on two threads at once, return what each call
+    # returns alone
+    alone = [_run(i) for i in range(len(_RUNS))]
+    for order in ([1, 0, 3, 2], [0, 1, 0, 3, 2, 3]):
+        assert [_run(i) for i in order] == [alone[i] for i in order]
+    barrier = threading.Barrier(2)
+
+    def together(i):
+        barrier.wait(timeout=60)
+        return _run(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads every few kernel calls
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for pair in ([0, 2], [1, 3], [0, 1]):
+                assert list(pool.map(together, pair, timeout=120)) == [alone[i] for i in pair]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 
 def test_descent_steps_monotone_and_mass_conserving():
     dens = Density(2, 0.3)
     M0 = 1.0
-    V = _wobbly_curve(n=96, seed=4, center=(0.3, 0.0))
-    V = _project_mass(dens, V, M0)
-    per = _perimeter(dens, V)
+    g = _project_mass(dens, _Geometry(_wobbly_curve(n=96, seed=4, center=(0.3, 0.0)), 2), M0)
+    per = _perimeter(dens, g)
     steps = [0.0]
     for _ in range(120):
-        E = np.roll(V, -1, axis=0) - V
+        E = np.roll(g.V, -1, axis=0) - g.V
         step0 = 0.1 * float(np.mean(np.hypot(E[:, 0], E[:, 1])))
-        V2, per2, accepted = descent_step(dens, V, M0, per, step0, steps)
+        g2, per2, accepted = descent_step(dens, g, M0, per, step0, steps)
         if accepted:
             assert per2 <= per + 1e-12
-            assert abs(_mass(dens, V2) - M0) <= 1e-8 * M0
-        V, per = V2, per2
+            assert abs(_mass(dens, _Geometry(g2.V, 2)) - M0) <= 1e-8 * M0
+        g, per = g2, per2
 
     # the axisymmetric profile: the poles must stay exactly on the axis
-    W = _project_mass_rev(dens, _wobbly_profile(), M0)
-    area = _rev_area(dens, W)
+    g = _project_mass_rev(dens, _Geometry(_wobbly_profile(), 3), M0)
+    area = _rev_area(dens, g)
     steps = [0.0]
     moves = 0
     for _ in range(60):
+        W = g.V
         step0 = 0.1 * float(np.mean(np.hypot(np.diff(W[:, 0]), np.diff(W[:, 1]))))
-        W2, area2, accepted = _rev_step(dens, W, M0, area, step0, steps)
+        g2, area2, accepted = _rev_step(dens, g, M0, area, step0, steps)
+        W2 = g2.V
         assert W2[0, 1] == 0.0 and W2[-1, 1] == 0.0
         if accepted:
             moves += 1
             assert area2 <= area + 1e-12
-            assert abs(_rev_mass(dens, W2) - M0) <= 1e-8 * M0
-        W, area = W2, area2
+            assert abs(_rev_mass(dens, _Geometry(W2, 3)) - M0) <= 1e-8 * M0
+        g, area = g2, area2
     assert moves > 0
 
 
 def _uphill(dens, X, functional_grad, mass_grad, pin):
-    """+grad(P) with its grad(M) component removed: the reverse of _descend's field."""
+    """+grad(P) at the record X with its grad(M) component removed: _descend's field reversed."""
     gP = pin(functional_grad(dens, X))
     gM = pin(mass_grad(dens, X))
     return ev._unit(gP - float(np.sum(gP * gM) / np.sum(gM * gM)) * gM)
@@ -408,16 +506,17 @@ def test_failed_line_search_keeps_state_and_remembers_its_smallest_trial(monkeyp
     # scaled to about the target mass, since a long projection along the
     # normals folds its wobbles
     dens, M0, step0 = Density(2, 0.3), 1.0, 0.01
-    V = _project_mass(dens, 0.7 * _wobbly_curve(n=96, seed=4, center=(0.3, 0.0)), M0)
-    W = _project_mass_rev(dens, _wobbly_profile(), M0)
-    assert ev._star_ok(V, ev._centroid(V)) and ev._profile_ok(W)
+    V = _project_mass(dens, _Geometry(0.7 * _wobbly_curve(n=96, seed=4, center=(0.3, 0.0)), 2),
+                      M0)
+    W = _project_mass_rev(dens, _Geometry(_wobbly_profile(), 3), M0)
+    assert ev._star_ok(V, ev._centroid(V.V)) and ev._profile_ok(W)
     cases = [("_try_direction", V, _perimeter(dens, V),
               _uphill(dens, V, _perimeter_grad, _mass_grad, lambda g: g)),
              ("_try_direction_rev", W, _rev_area(dens, W),
               _uphill(dens, W, _rev_area_grad, _rev_mass_grad, ev._pin_poles))]
     for name, X, per, dhat in cases:
         Y, per2, step, memory = getattr(ev, name)(dens, X, M0, per, dhat, step0, None)
-        floor = 1e-14 * float(np.max(np.abs(X)))
+        floor = 1e-14 * float(np.max(np.abs(X.V)))
         assert Y is X and per2 == per and step == 0.0, name
         assert 0.0 < memory <= 2.0 * floor, name
         assert ev._first_trial(step0, memory) == 2.0 * memory
@@ -469,9 +568,9 @@ def test_star_ok_matches_the_angle_sum(n, seed, turns, sense, wobble, offset):
     center = rng.uniform(-3.0, 3.0, 2)
     V = center + np.column_stack([r * np.cos(theta), r * np.sin(theta)])
     ref = center + np.array(offset)
-    assert ev._star_ok(V, ref) == _ref_star_ok(V, ref)
+    assert ev._star_ok(_Geometry(V, 2), ref) == _ref_star_ok(V, ref)
     assume(_angular_margin(V, ref) > 1e-9)
-    assert ev._star_ok(V, ref) == _star_oracle(V, ref)
+    assert ev._star_ok(_Geometry(V, 2), ref) == _star_oracle(V, ref)
 
 
 def test_star_ok_named_cases():
@@ -489,24 +588,24 @@ def test_star_ok_named_cases():
              (W, np.array([0.3, -0.2]), False)]  # ref below the axis, outside the loop
     for V, ref, expected in cases:
         assert _star_oracle(V, ref) == expected
-        assert ev._star_ok(V, ref) == expected
+        assert ev._star_ok(_Geometry(V, 2), ref) == expected
 
 
 def _search_descending_trials(shift, valid_before, valid_after):
     """_line_search on trials that all lower the functional; projection adds shift.
 
     ok says valid_before for unprojected trials, valid_after for projected
-    ones.  Returns (V, result, the arrays ok was called on, trials made).
+    ones.  Returns (V, result, the records ok was called on, trials made).
     """
-    V = np.ones((16, 2))
+    V = _Geometry(np.ones((16, 2)), 2)
     checked = []
 
     def ok(X):
         checked.append(X)
-        return valid_after if shift and X[0, 0] >= 2.0 else valid_before
+        return valid_after if shift and X.V[0, 0] >= 2.0 else valid_before
 
     def project(dens, X, M0, chord):
-        return X + shift if shift else X
+        return _Geometry(X.V + shift, 2) if shift else X
 
     result = ev._line_search(Density(2, 0.1), V, 1.0, 10.0, np.ones((16, 2)), 0.5, None,
                              ok, project, lambda dens, X: 0.0)
@@ -525,13 +624,13 @@ def test_line_search_rejects_descending_trials_that_fail_validity(valid_before, 
     assert Y is V and per == 10.0 and step == 0.0
     assert len(checked) == tests_per_trial * trials
     V, (Y, per, step, _), checked, _ = _search_descending_trials(1.0, True, True)
-    assert np.array_equal(Y, V + 1.5) and per == 0.0 and step == 0.5 and len(checked) == 2
+    assert np.array_equal(Y.V, V.V + 1.5) and per == 0.0 and step == 0.5 and len(checked) == 2
 
 
 def test_line_search_accepts_only_a_strict_decrease():
     # every trial leaves the functional bit-identical: none is accepted, so
     # a run sitting on a flat functional stalls instead of counting steps
-    V = np.ones((16, 2))
+    V = _Geometry(np.ones((16, 2)), 2)
     Y, per, step, memory = ev._line_search(Density(2, 0.1), V, 1.0, 10.0, np.ones((16, 2)), 0.5,
                                            None, lambda X: True, lambda dens, X, M0, chord: X,
                                            lambda dens, X: 10.0)
@@ -568,14 +667,14 @@ def test_line_search_tests_validity_only_where_the_functional_does_not_rise(
         monkeypatch, functional, ok, search, state, downhill):
     dens = Density(2, 0.3)
     if state == "curve":
-        X = _wobbly_curve(n=96, seed=4, center=(0.3, 0.0))
+        X = _Geometry(_wobbly_curve(n=96, seed=4, center=(0.3, 0.0)), 2)
         M0 = _mass(dens, X)
         dhat = _uphill(dens, X, _perimeter_grad, _mass_grad, lambda g: g)
     else:
-        X = _wobbly_profile()
+        X = _Geometry(_wobbly_profile(), 3)
         M0 = _rev_mass(dens, X)
         dhat = _uphill(dens, X, _rev_area_grad, _rev_mass_grad, ev._pin_poles)
-    assert ev._star_ok(X, X.mean(axis=0)) if state == "curve" else ev._profile_ok(X)
+    assert ev._star_ok(X, X.V.mean(axis=0)) if state == "curve" else ev._profile_ok(X)
     per = getattr(ev, functional)(dens, X)
     events = []  # "down" or "up" per functional value, "ok" per validity test
     value, valid = getattr(ev, functional), getattr(ev, ok)
@@ -611,7 +710,8 @@ def test_line_search_floor_is_relative_to_the_curve(monkeypatch):
     report = evolve_2d(Density(4, 0.1), M0, n=256)
     assert calls[0] > 1
     assert abs(report.weighted_mass - M0) <= 1e-8 * M0
-    assert abs(_mass(Density(4, 0.1), report.final_curve.vertices) - M0) <= 1e-8 * M0
+    assert abs(_mass(Density(4, 0.1), _Geometry(report.final_curve.vertices, 2)) - M0) \
+        <= 1e-8 * M0
 
 
 def test_resample_preserves_geometry():
@@ -619,9 +719,10 @@ def test_resample_preserves_geometry():
     r = 1.0 + 0.1 * np.sin(3 * theta)
     V = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
     dens = Density(2, 0.4)
-    V2 = _resample_closed(V)
+    V2 = _resample_closed(_Geometry(V, 2))
     assert len(V2) == len(V)
-    assert _perimeter(dens, V2) == pytest.approx(_perimeter(dens, V), rel=1e-3)
+    assert _perimeter(dens, _Geometry(V2, 2)) == pytest.approx(_perimeter(dens, _Geometry(V, 2)),
+                                                               rel=1e-3)
     E = np.roll(V2, -1, axis=0) - V2
     L = np.hypot(E[:, 0], E[:, 1])
     assert np.max(L) / np.min(L) < 1.01
@@ -698,7 +799,7 @@ def test_tiny_curve_keeps_every_vertex_and_its_mass():
     report = evolve_2d(Density(4, 0.1), 1e-20, n=64, max_iters=0)
     V = report.final_curve.vertices
     assert len(V) == 64
-    assert abs(_mass(Density(4, 0.1), V) - 1e-20) <= 1e-8 * 1e-20
+    assert abs(_mass(Density(4, 0.1), _Geometry(V, 2)) - 1e-20) <= 1e-8 * 1e-20
     assert abs(report.weighted_mass - 1e-20) <= 1e-8 * 1e-20
     closed = np.vstack([V, V[:1]])
     assert PolyCurve(closed, validate=False).n == 64
@@ -783,10 +884,10 @@ def test_line_search_projections_take_no_mass_gradient(monkeypatch, evolve, n, g
 
 def test_chord_projection_lands_on_the_mass_and_falls_back_to_newton(monkeypatch):
     dens, M0 = Density(4, 0.1), 1.0
-    V = _project_mass(dens, _wobbly_curve(n=96, seed=2), M0)
+    V = _project_mass(dens, _Geometry(_wobbly_curve(n=96, seed=2), 2), M0)
     N = ev._vertex_normals(V)
     slope = float((_mass_grad(dens, V) * N).sum())
-    trial = V + 1e-3 * ev._unit(-_perimeter_grad(dens, V))
+    trial = _Geometry(V.V + 1e-3 * ev._unit(-_perimeter_grad(dens, V)), 2)
     assert abs(_mass(dens, trial) - M0) > 1e-6 * M0
     grads = _count_calls(monkeypatch, "_mass_grad")
     cases = [((N, slope), False),  # the iterate's chord: no gradient

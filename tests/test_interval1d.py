@@ -21,7 +21,7 @@ from isodense import (
     solve_p_lt_1,
     solve_symmetric,
 )
-from isodense.numerics import NumericError, bisect, central_second_diff
+from isodense.numerics import NumericError, bisect
 from isodense import density, interval1d
 from isodense.density import radial_mass_inverse
 from isodense.interval1d import (
@@ -639,6 +639,11 @@ def test_contour_curvature_signs():
     assert dd_per2 < 0.0
 
 
+def _central_second_diff(f, x, h):
+    """Central second-difference approximation of f''(x)."""
+    return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
+
+
 def test_contour_curvatures_match_finite_differences():
     dens = Density(0.5, 0.5)
     s0, b0 = 0.3, 0.8
@@ -646,10 +651,10 @@ def test_contour_curvatures_match_finite_differences():
 
     c_per = s0 ** dens.p + b0 ** dens.p
     beta_on_per = lambda s: (c_per - s ** dens.p) ** (1.0 / dens.p)
-    fd_per = central_second_diff(beta_on_per, s0, h=1e-4)
+    fd_per = _central_second_diff(beta_on_per, s0, h=1e-4)
     assert dd_per == pytest.approx(fd_per, rel=1e-4)
 
     c_mass = dens.primitive(s0) + dens.primitive(b0)
     beta_on_mass = lambda s: float(radial_mass_inverse(dens.p, dens.a, c_mass - dens.primitive(s)))
-    fd_mass = central_second_diff(beta_on_mass, s0, h=1e-4)
+    fd_mass = _central_second_diff(beta_on_mass, s0, h=1e-4)
     assert dd_mass == pytest.approx(fd_mass, rel=1e-4)

@@ -4,8 +4,6 @@ import pytest
 
 from isodense.numerics import (
     bisect,
-    central_diff,
-    central_second_diff,
     gauss_legendre,
     golden_min,
     grow_bracket,
@@ -85,8 +83,3 @@ def test_gauss_legendre_radial_moment():
 def test_gauss_legendre_rejects_unsupported_order():
     with pytest.raises(ValueError):
         gauss_legendre(lambda x: x, 0.0, 1.0, 5)
-
-
-def test_finite_differences():
-    assert central_diff(math.sin, 0.3) == pytest.approx(math.cos(0.3), rel=1e-8)
-    assert central_second_diff(math.sin, 0.3) == pytest.approx(-math.sin(0.3), rel=1e-6)

@@ -98,8 +98,9 @@ def test_a0_boundary_is_the_disc_on_a_fine_polygon():
     # boundary itself does not have
     dens = Density(4.0, 0.0)
     V = spectral_2d(dens, 1.0).sample(65536)
-    assert abs(ev._perimeter(dens, V) - _through_origin(2, 4.0)) <= 1e-6
-    assert abs(ev._mass(dens, V) - 1.0) <= 1e-6
+    g = ev._Geometry(V, 2)
+    assert abs(ev._perimeter(dens, g) - _through_origin(2, 4.0)) <= 1e-6
+    assert abs(ev._mass(dens, g) - 1.0) <= 1e-6
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -182,8 +183,8 @@ def _capture_start(monkeypatch):
     """Patch the evolver's descent to record its start and stop the run."""
     starts = []
 
-    def drive(dens, V, *args):
-        starts.append(V.copy())
+    def drive(dens, g, *args):
+        starts.append(g.V.copy())
         raise _Started
 
     monkeypatch.setattr(ev, "_drive", drive)

@@ -10,8 +10,11 @@ a chord step does not help).  Steps are accepted only if the weighted
 perimeter decreases and the curve stays star-shaped (which guarantees it
 stays simple).
 
-A run starts from the spectral optimum (isodense.spectral) sampled at the
-run's vertex count when that solve is certified, and otherwise from a
+A run is solved at unit mass and scaled back: the region of mass M0 for
+offset a is M0**(1/(p+d)) times the unit-mass region for offset
+a * M0**(-p/(p+d)), so no tolerance, step or floor depends on M0.  It
+starts from the spectral optimum (isodense.spectral) sampled at the run's
+vertex count when that solve is certified, and otherwise from a
 displaced circle or sphere; the descent is the same either way.
 
 All functionals are discretized consistently with their analytic
@@ -20,13 +23,13 @@ from the origin with a tensor Gauss-Legendre rule (7 radial x 4 angular
 nodes per triangle), so the fan works even when the region does not
 contain the origin.
 
-One set of kernels serves both states, a polyline whose dimension d
-picks its edges (a closed loop in 2D, an open pole-to-pole profile in
-3D) and its revolution weight (1 in 2D, 2*pi*y in 3D).  The revolved
+One set of kernels and one driver serve both states, a polyline whose
+dimension d picks its edges (a closed loop in 2D, an open pole-to-pole
+profile in 3D), its revolution weight (1 in 2D, 2*pi*y in 3D) and, in
+3D, the poles held on the axis.  Every function reads d from the
+polyline's record and none takes a kernel as an argument.  The revolved
 functionals are the planar ones with that weight: the radial factor of
 the fan is the integral of u**(p+1) in 2D and of u**(p+2) in 3D.
-Per-state names (_perimeter, _rev_area, ...) bind the kernels to a
-dimension; the driver looks them up by name when it runs.
 
 The kernels compute on z = x + iy: each (n, 2) vertex array is read,
 without a copy, as n complex numbers, so an edge length or radius is one
@@ -41,10 +44,10 @@ kernel takes a record; the public wrappers and the driver make one per
 vertex array.  The projection returns the record of the curve it
 accepts, the line search hands it on, and the next iteration's
 gradients, normals and step size read the arrays the last mass and
-perimeter evaluations made.  The values keep their radii's powers; a
-gradient reuses one only where no radius is below its 1e-300 clamp, so
-every result is the same to the bit as from a fresh record.  Records
-belong to one call and none is kept.
+perimeter evaluations made.  The values keep their radii's powers (a
+record meets one density); a gradient reuses one only where no radius is
+below its 1e-300 clamp, so every result is the same to the bit as from a
+fresh record.  Records belong to one call and none is kept.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ import numpy as np
 from .density import Density, Dimension, check_mass
 from .numerics import NumericError, gauss_legendre_nodes
 from .radial import symmetric_ball
-from .spectral import _initial_center, spectral_2d, spectral_3d_axisym
+from .spectral import _initial_center, _unit_offset, spectral_2d, spectral_3d_axisym
 
 __all__ = [
     "PolyCurve",
@@ -156,12 +159,12 @@ class _Geometry:
         return (self.mids() if points == "mid" else self.fan())[1]
 
     def power(self, points: str, p: float) -> np.ndarray:
-        """radii(points) ** p, taken once: the values' form."""
+        """radii(points) ** p, taken once: the values' form.  A record meets one p."""
         held = getattr(self, "_power_" + points)
-        if held is None or held[0] != p:
-            held = p, self.radii(points) ** p
+        if held is None:
+            held = self.radii(points) ** p
             setattr(self, "_power_" + points, held)
-        return held[1]
+        return held
 
     def clamped(self, points: str, p: float) -> tuple[np.ndarray, np.ndarray]:
         """(r, r ** p), r being radii(points) raised to at least 1e-300: the gradients' form.
@@ -174,7 +177,7 @@ class _Geometry:
             r = np.maximum(r, 1e-300)
             return r, r ** p
         held = getattr(self, "_power_" + points)
-        return r, held[1] if held is not None and held[0] == p else r ** p
+        return r, held if held is not None else r ** p
 
 
 def _star_ok(g: _Geometry, ref: np.ndarray) -> bool:
@@ -193,6 +196,22 @@ def _star_ok(g: _Geometry, ref: np.ndarray) -> bool:
     if not (_cross(W, Wn) > 0.0).all():
         return False
     return int(np.count_nonzero((W.imag < 0.0) & (Wn.imag >= 0.0))) == 1
+
+
+def _profile_ok(g: _Geometry) -> bool:
+    """True if the profile stays above the axis, its poles in order, and closes star-shaped."""
+    W = g.V
+    if (W[1:-1, 1] <= 0.0).any():
+        return False
+    if W[0, 0] <= W[-1, 0]:
+        return False
+    # closing the profile back along the axis must give a star-shaped loop
+    return _star_ok(g, _centroid(W))
+
+
+def _valid(g: _Geometry) -> bool:
+    """A loop star-shaped about its centroid, or a profile as _profile_ok wants it."""
+    return _star_ok(g, _centroid(g.V)) if g.d == 2 else _profile_ok(g)
 
 
 def _centroid(V: np.ndarray) -> np.ndarray:
@@ -268,6 +287,12 @@ def _gather(at_start: np.ndarray, at_end: np.ndarray, d: int) -> np.ndarray:
     return G
 
 
+def _pin_poles(G: np.ndarray) -> np.ndarray:
+    """Zero the y components of a profile's two poles in place: they stay on the axis."""
+    G[0, 1] = G[-1, 1] = 0.0
+    return G
+
+
 def _revolution(X: np.ndarray, d: int):
     """(w, c) at points X: the weight c*w is 1 in 2D, 2*pi*y about the x-axis in 3D.
 
@@ -277,17 +302,18 @@ def _revolution(X: np.ndarray, d: int):
     return (1.0, 1.0) if d == 2 else (X.imag, _TWO_PI)
 
 
-def _functional(dens: Density, g: _Geometry, d: int) -> float:
+def _functional(dens: Density, g: _Geometry) -> float:
     """Weighted perimeter (2D) or surface area (3D): edge lengths times c*w*rho at midpoints."""
     mid = g.mids()[0]
     rho = g.power("mid", dens.p) + dens.a
-    if d == 2:  # the weight is 1
+    if g.d == 2:  # the weight is 1
         return float((g.L * rho).sum())
     return _TWO_PI * float((mid.imag * g.L * rho).sum())
 
 
-def _functional_grad(dens: Density, g: _Geometry, d: int) -> np.ndarray:
-    p, a = dens.p, dens.a
+def _functional_grad(dens: Density, g: _Geometry) -> np.ndarray:
+    """The gradient of _functional in the vertices."""
+    p, a, d = dens.p, dens.a, g.d
     E, L = g.E, g.L
     mid = g.mids()[0]
     w, c = _revolution(mid, d)
@@ -309,12 +335,12 @@ def _volume(g: _Geometry) -> float:
     return _TWO_PI / 6 * float((cross * (g.A.imag + g.B.imag)).sum())
 
 
-def _fan_mass(dens: Density, g: _Geometry, d: int) -> float:
+def _fan_mass(dens: Density, g: _Geometry) -> float:
     """Weighted mass: a times the fan's area or volume plus the fan integral of c*w*r**p.
 
     Every projection step calls this kernel; the edge nodes are one (4, n) array.
     """
-    p = dens.p
+    p, d = dens.p, g.d
     P = g.fan()[0]
     f = g.power("fan", p)
     fan = _radial_factor(p + (d - 1))
@@ -324,9 +350,9 @@ def _fan_mass(dens: Density, g: _Geometry, d: int) -> float:
     return dens.a * _volume(g) + fan * float((g.cross * (_WT4 @ f)).sum())
 
 
-def _fan_mass_grad(dens: Density, g: _Geometry, d: int) -> np.ndarray:
+def _fan_mass_grad(dens: Density, g: _Geometry) -> np.ndarray:
     """The gradient of _fan_mass in the vertices."""
-    p = dens.p
+    p, d = dens.p, g.d
     A, B, cross = g.A, g.B, g.cross
     P = g.fan()[0]
     w, c = _revolution(P, d)
@@ -345,23 +371,12 @@ def _fan_mass_grad(dens: Density, g: _Geometry, d: int) -> np.ndarray:
     return _rows(_gather(cross * T0 - iS * B, cross * T1 + iS * A, d))
 
 
-# The per-state kernels, looked up by name when the driver runs.
-_perimeter = functools.partial(_functional, d=2)
-_perimeter_grad = functools.partial(_functional_grad, d=2)
-_mass = functools.partial(_fan_mass, d=2)
-_mass_grad = functools.partial(_fan_mass_grad, d=2)
-_rev_area = functools.partial(_functional, d=3)
-_rev_area_grad = functools.partial(_functional_grad, d=3)
-_rev_mass = functools.partial(_fan_mass, d=3)
-_rev_mass_grad = functools.partial(_fan_mass_grad, d=3)
-
-
 def weighted_perimeter_2d(dens: Density, curve: PolyCurve) -> float:
     """Weighted perimeter: sum of edge lengths times the density at edge midpoints."""
     g = _Geometry(curve.vertices, 2)
     if g.L.min() <= 0.0:
         raise ValueError("curve has a zero-length edge")
-    return _perimeter(dens, g)
+    return _functional(dens, g)
 
 
 def weighted_mass_2d(dens: Density, curve: PolyCurve) -> float:
@@ -375,17 +390,17 @@ def weighted_mass_2d(dens: Density, curve: PolyCurve) -> float:
     g = _Geometry(V, 2)
     if not _star_ok(g, V.mean(axis=0)):
         raise ValueError("curve is not star-shaped about its centroid")
-    return _mass(dens, g)
+    return _fan_mass(dens, g)
 
 
 def perimeter_gradient_2d(dens: Density, curve: PolyCurve) -> np.ndarray:
     """Analytic gradient of the weighted perimeter with respect to each vertex."""
-    return _perimeter_grad(dens, _Geometry(curve.vertices, 2))
+    return _functional_grad(dens, _Geometry(curve.vertices, 2))
 
 
 def mass_gradient_2d(dens: Density, curve: PolyCurve) -> np.ndarray:
     """Analytic gradient of the weighted mass with respect to each vertex."""
-    return _mass_grad(dens, _Geometry(curve.vertices, 2))
+    return _fan_mass_grad(dens, _Geometry(curve.vertices, 2))
 
 
 def _smooth(field: np.ndarray, d: int) -> np.ndarray:
@@ -412,26 +427,29 @@ def _sobolev(n: int) -> np.ndarray:
     return mult
 
 
-def _normals(g: _Geometry, d: int) -> np.ndarray:
-    """Unit vertex normals: the normalized sum of the two adjacent edges' normals."""
+def _normals(g: _Geometry) -> np.ndarray:
+    """Unit vertex normals: the normalized sum of the two adjacent edges' normals.
+
+    A profile's poles move along the axis only, so offsets along the
+    normals keep them on it; the profile runs right pole -> left pole.
+    """
     ne = -1j * g.E / np.maximum(g.L, 1e-300)  # outward for ccw
-    nv = _gather(ne, ne, d)
-    return _rows(nv / np.maximum(abs(nv), 1e-300))
+    nv = _gather(ne, ne, g.d)
+    N = _rows(nv / np.maximum(abs(nv), 1e-300))
+    if g.d == 3:
+        N[0], N[-1] = (1.0, 0.0), (-1.0, 0.0)
+    return N
 
 
-_vertex_normals = functools.partial(_normals, d=2)
-
-
-def _project(dens: Density, g: _Geometry, M0: float, mass, mass_grad, normals,
-             chord) -> _Geometry:
-    """Restore the mass to a relative 1e-10 by offsets along normals.
+def _project(dens: Density, g: _Geometry, chord=None) -> _Geometry:
+    """Restore the unit mass to 1e-10 by offsets along the normals.
 
     The residual comes from the mass-only kernel.  chord, (N, slope) of
     the iterate a line-search trial was taken from, makes the offsets
     chord steps along N with that slope, so a trial takes no gradient;
     without one, when its slope is not positive, and from the first chord
     step that does not shrink the residual on, each offset is a Newton
-    step along the state's own normals with a fresh mass gradient.
+    step along the curve's own normals with a fresh mass gradient.
     Returns the record of the accepted curve: g itself when its mass is
     already within tolerance.
     """
@@ -439,23 +457,18 @@ def _project(dens: Density, g: _Geometry, M0: float, mass, mass_grad, normals,
     newton = not slope > 0.0
     last = math.inf
     for _ in range(15):
-        resid = mass(dens, g) - M0
-        if abs(resid) <= 1e-10 * M0:
+        resid = _fan_mass(dens, g) - 1.0
+        if abs(resid) <= 1e-10:
             return g
         if newton or not abs(resid) < last:
             newton = True
-            N = normals(g)
-            slope = float((mass_grad(dens, g) * N).sum())
+            N = _normals(g)
+            slope = float((_fan_mass_grad(dens, g) * N).sum())
             if slope <= 0.0:
                 raise NumericError("mass projection lost its outward slope")
         last = abs(resid)
         g = _Geometry(g.V + (-resid / slope) * N, g.d)
     raise NumericError("mass projection did not converge")
-
-
-def _project_mass(dens: Density, g: _Geometry, M0: float, chord=None) -> _Geometry:
-    """Mass projection of a closed polygon along its vertex normals."""
-    return _project(dens, g, M0, _mass, _mass_grad, _vertex_normals, chord)
 
 
 def _catmull_rom(P0, P1, P2, P3, t):
@@ -465,13 +478,14 @@ def _catmull_rom(P0, P1, P2, P3, t):
                   + (3.0 * P1 - P0 - 3.0 * P2 + P3) * t * t * t)
 
 
-def _resample(g: _Geometry, d: int) -> np.ndarray:
+def _resample(g: _Geometry) -> np.ndarray:
     """Redistribute vertices uniformly in arc length along the loop or the profile.
 
     Cubic (Catmull-Rom) interpolation: a piecewise-linear resampler would
-    leave C0 kinks that dominate any curvature diagnostic afterwards.
+    leave C0 kinks that dominate any curvature diagnostic afterwards.  A
+    profile's poles stay where they were.
     """
-    V, seg = g.V, g.L
+    V, seg, d = g.V, g.L, g.d
     s = np.concatenate([[0.0], np.cumsum(seg)])
     targets = np.linspace(0.0, s[-1], len(V), endpoint=d == 3)
     idx = np.clip(np.searchsorted(s, targets, side="right") - 1, 0, len(seg) - 1)
@@ -479,10 +493,11 @@ def _resample(g: _Geometry, d: int) -> np.ndarray:
     # row i + 1 holds V[i]: the loop wraps around, the profile extends straight past its ends
     ext = (np.vstack([V[-1:], V, V[:2]]) if d == 2 else
            np.vstack([V[0] + (V[0] - V[1]), V, V[-1] + (V[-1] - V[-2])]))
-    return _catmull_rom(ext[idx], ext[idx + 1], ext[idx + 2], ext[idx + 3], t)
-
-
-_resample_closed = functools.partial(_resample, d=2)
+    out = _catmull_rom(ext[idx], ext[idx + 1], ext[idx + 2], ext[idx + 3], t)
+    if d == 3:
+        out[0], out[-1] = V[0], V[-1]
+        _pin_poles(out)
+    return out
 
 
 def _fit_circle(V: np.ndarray) -> tuple[float, float, float]:
@@ -563,8 +578,8 @@ def isoperimetric_quotient(report: EvolveReport) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The descent driver, shared by both states: each function takes the state's
-# kernels as arguments, bound by thin per-state entry points.
+# The descent driver, one for both states: every function reads the
+# state's dimension from its record.
 # ---------------------------------------------------------------------------
 
 def _first_trial(step0: float, last: float) -> float:
@@ -580,18 +595,18 @@ def _first_trial(step0: float, last: float) -> float:
     return min(2.0 * last, step0) if last > 0.0 else step0
 
 
-def _line_search(dens: Density, g: _Geometry, M0: float, per: float, dhat: np.ndarray,
-                 step0: float, chord, ok, project, functional
-                 ) -> tuple[_Geometry, float, float, float]:
+def _line_search(dens: Density, g: _Geometry, per: float, dhat: np.ndarray, step0: float,
+                 chord) -> tuple[_Geometry, float, float, float]:
     """Backtracking move along dhat (unit max-displacement) with mass re-projection.
 
     Each trial is projected with chord, the (normals, mass slope) pair of
     the iterate (see _project; None projects by Newton steps), and is
     accepted when the projection succeeds, the functional strictly falls
-    and ok holds both before and after the projection.  The cheap
-    functional test runs first and the validity tests only on trials that
-    pass it; a projection that returns its input unchanged is tested once.
-    Each trial is a record, which ok, project and functional share.
+    and the curve is valid (see _valid) both before and after the
+    projection.  The cheap functional test runs first and the validity
+    tests only on trials that pass it; a projection that returns its
+    input unchanged is tested once.  Each trial is a record, which the
+    validity test, the projection and the functional share.
 
     Returns (record, functional, step, memory): the accepted curve's
     record and step length, or the input g, per and 0.0 when no trial was
@@ -608,15 +623,27 @@ def _line_search(dens: Density, g: _Geometry, M0: float, per: float, dhat: np.nd
     while t > floor:
         trial = _Geometry(g.V + t * dhat, g.d)
         try:
-            projected = project(dens, trial, M0, chord)
+            projected = _project(dens, trial, chord)
         except NumericError:
             t *= 0.5
             continue
-        pt = functional(dens, projected)
-        if pt < per and ok(trial) and (projected is trial or ok(projected)):
+        pt = _functional(dens, projected)
+        if pt < per and _valid(trial) and (projected is trial or _valid(projected)):
             return projected, pt, t, t
         t *= 0.5
     return g, per, 0.0, min(2.0 * t, step0)
+
+
+def _try_direction(dens: Density, g: _Geometry, per: float, dhat: np.ndarray, step0: float,
+                   chord) -> tuple[_Geometry, float, float, float]:
+    """_line_search of a closed polygon; the benchmark's tracer tells the states apart by name."""
+    return _line_search(dens, g, per, dhat, step0, chord)
+
+
+def _try_direction_rev(dens: Density, g: _Geometry, per: float, dhat: np.ndarray,
+                       step0: float, chord) -> tuple[_Geometry, float, float, float]:
+    """_line_search of a profile; dhat must keep the poles' y at zero, as _descend's do."""
+    return _line_search(dens, g, per, dhat, step0, chord)
 
 
 def _unit(direction: np.ndarray):
@@ -625,41 +652,39 @@ def _unit(direction: np.ndarray):
     return direction / dmax if dmax > 1e-300 else None
 
 
-def _descend(dens: Density, g: _Geometry, M0: float, per: float, step0: float,
-             steps: list[float], functional_grad, mass_grad, normals, smooth, pin,
-             search) -> tuple[_Geometry, float, bool]:
-    """One projected-descent iteration of the iterate g; returns (record, functional, accepted).
+def _descend(dens: Density, g: _Geometry, per: float, step0: float,
+             memory: float) -> tuple[_Geometry, float, bool, float]:
+    """One projected-descent iteration of the iterate g.
 
     The direction is -grad(P) with its component along grad(M) removed,
     Sobolev-smoothed (see _smooth) and projected onto the mass tangent
     again; one line search runs along it.  A translation is mode 0 of each
     coordinate column, which the smoother passes unchanged, so the same
     search slides an off-centre optimum home.  Trials are accepted only
-    if valid and shorter (in the functional) than before.  pin zeroes the
-    degrees of freedom the state holds fixed.
+    if valid and shorter (in the functional) than before.  A profile's
+    gradients and direction are pinned at the poles (see _pin_poles).
 
-    steps holds the search's memory in its one entry (see _line_search;
-    0.0 for none); the search starts near it (see _first_trial) and the
-    list is updated in place.  The search projects its trials with the
-    iterate's normals and mass slope (see _project).
+    memory is the last search's (see _line_search; 0.0 for none); the
+    search starts near it (see _first_trial) and projects its trials with
+    the iterate's normals and mass slope (see _project).  Returns
+    (record, functional, accepted, memory).
     """
-    gP = pin(functional_grad(dens, g))
-    gM = pin(mass_grad(dens, g))
-    N = normals(g)
+    pin = _pin_poles if g.d == 3 else lambda G: G
+    gP = pin(_functional_grad(dens, g))
+    gM = pin(_fan_mass_grad(dens, g))
+    N = _normals(g)
     chord = (N, float((gM * N).sum()))
-    # the inner products take copies scaled by exact powers of two: at
-    # huge masses |gM| passes 1e154 and its square overflows
-    gP, gM = (np.ldexp(G, -math.frexp(float(np.abs(G).max()))[1]) for G in (gP, gM))
     gM2 = float((gM * gM).sum())
     if not gM2 > 0.0:  # the whole gradient underflowed
         raise NumericError("mass gradient vanished")
     lam = float((gP * gM).sum() / gM2)
-    ds = smooth(-gP + lam * gM)
+    ds = _smooth(-gP + lam * gM, g.d)
     dhat = _unit(pin(ds - (float((ds * gM).sum()) / gM2) * gM))
     if dhat is None:
-        return g, per, False
-    g, per, step, steps[0] = search(dens, g, M0, per, dhat, _first_trial(step0, steps[0]), chord)
-    return g, per, step > 0.0
+        return g, per, False, memory
+    search = _try_direction if g.d == 2 else _try_direction_rev
+    g, per, step, memory = search(dens, g, per, dhat, _first_trial(step0, memory), chord)
+    return g, per, step > 0.0, memory
 
 
 def _check_run(M0: float, max_iters: int, tol: float) -> None:
@@ -671,9 +696,8 @@ def _check_run(M0: float, max_iters: int, tol: float) -> None:
         raise ValueError(f"tol must be nonnegative and finite, got {tol}")
 
 
-def _drive(dens: Density, g: _Geometry, M0: float, max_iters: int, tol: float,
-           project, functional, mass, step, resample):
-    """Project the record g onto the mass constraint and descend until the run stops.
+def _drive(dens: Density, g: _Geometry, max_iters: int, tol: float):
+    """Project the record g onto the unit mass and descend until the run stops.
 
     Stops when the functional's relative decrease over 50 iterations falls
     below tol or after 25 iterations in a row without an accepted step;
@@ -682,18 +706,18 @@ def _drive(dens: Density, g: _Geometry, M0: float, max_iters: int, tol: float,
     record the last projection returned.  Returns (record, functional,
     mass, iterations, converged).
     """
-    g = project(dens, g, M0)
-    per = functional(dens, g)
+    g = _project(dens, g)
+    per = _functional(dens, g)
     iterations = 0
     history = [per]
-    steps = [0.0]  # the line search's memory
+    memory = 0.0  # the line search's
     stalled = 0
     since_resample = 0
     plateau = False
     while iterations < max_iters:
         iterations += 1
         step0 = 0.1 * float(np.add.reduce(g.L) / len(g.L))  # the mean edge, as L.mean()
-        g, per, accepted = step(dens, g, M0, per, step0, steps)
+        g, per, accepted, memory = _descend(dens, g, per, step0, memory)
         if accepted:
             stalled = 0
             since_resample += 1
@@ -706,27 +730,13 @@ def _drive(dens: Density, g: _Geometry, M0: float, max_iters: int, tol: float,
             plateau = True
             break
         if since_resample >= 100:
-            g = project(dens, _Geometry(resample(g), g.d), M0)
-            per = functional(dens, g)
-            steps = [0.0]
+            g = _project(dens, _Geometry(_resample(g), g.d))
+            per = _functional(dens, g)
+            memory = 0.0
             since_resample = 0
-    M = mass(dens, g)
-    converged = abs(M - M0) <= 1e-8 * M0 and (plateau or stalled >= 25)
+    M = _fan_mass(dens, g)
+    converged = abs(M - 1.0) <= 1e-8 and (plateau or stalled >= 25)
     return g, per, M, iterations, bool(converged)
-
-
-def _try_direction(dens: Density, g: _Geometry, M0: float, per: float, dhat: np.ndarray,
-                   step0: float, chord) -> tuple[_Geometry, float, float, float]:
-    """Line search for a closed polygon, which must stay star-shaped."""
-    return _line_search(dens, g, M0, per, dhat, step0, chord,
-                        lambda t: _star_ok(t, _centroid(t.V)), _project_mass, _perimeter)
-
-
-def descent_step(dens: Density, g: _Geometry, M0: float, per: float,
-                 step0: float, steps: list[float]) -> tuple[_Geometry, float, bool]:
-    """One projected-descent iteration of a closed polygon's record (see _descend)."""
-    return _descend(dens, g, M0, per, step0, steps, _perimeter_grad, _mass_grad,
-                    _vertex_normals, functools.partial(_smooth, d=2), lambda G: G, _try_direction)
 
 
 def evolve_2d(dens: Density, M0: float, n: int = 256, max_iters: int = 4000,
@@ -745,112 +755,67 @@ def evolve_2d(dens: Density, M0: float, n: int = 256, max_iters: int = 4000,
     return _evolve(2, dens, M0, n, max_iters, tol)
 
 
+def evolve_3d_axisym(dens: Density, M0: float, n: int = 129, max_iters: int = 4000,
+                     tol: float = 1e-9) -> EvolveReport:
+    """Minimize weighted surface area at fixed weighted mass, axisymmetrically.
+
+    The state is a half-profile polyline revolved about the x-axis, from
+    the right pole to the left pole through y > 0, with the poles pinned
+    to the axis; otherwise the scheme matches evolve_2d.  It starts from
+    the certified spectral optimum (spectral_3d_axisym), sampled at n
+    points equally spaced in arc length from pole to pole, or else from
+    the displaced sphere.
+    """
+    return _evolve(3, dens, M0, n, max_iters, tol)
+
+
 def _evolve(d: int, dens: Density, M0: float, n: int, max_iters: int,
             tol: float) -> EvolveReport:
-    """Start, drive and report a run of the loop (d = 2) or the profile (d = 3)."""
+    """Start, drive and report a run of the loop (d = 2) or the profile (d = 3).
+
+    The run is solved at unit mass, for the offset a * M0**(-p/(p+d)), and
+    scaled back by s = M0**(1/(p+d)): lengths by s, areas or volumes by
+    s**d, the mass by M0 and the weighted perimeter by M0**((p+d-1)/(p+d)).
+    """
     _check_run(M0, max_iters, tol)
     least, points = (64, "vertices") if d == 2 else (17, "profile points")
     if n < least:
         raise ValueError(f"need at least {least} {points}")
-    start = (spectral_2d if d == 2 else spectral_3d_axisym)(dens, M0)
+    p = dens.p
+    dens = Density(p, _unit_offset(dens, M0, d))
+    start = (spectral_2d if d == 2 else spectral_3d_axisym)(dens, 1.0)
     if start.certified:
         V = start.sample(n)
     else:  # a circle, or a sphere's half-circle profile from pole to pole
-        R = symmetric_ball(dens, Dimension(d), M0).radius
+        R = symmetric_ball(dens, Dimension(d), 1.0).radius
         theta = np.linspace(0.0, _TWO_PI / (d - 1), n, endpoint=d == 3)
         V = np.column_stack([_initial_center(dens, R) + R * np.cos(theta), R * np.sin(theta)])
         if d == 3:
             _pin_poles(V)
-    project, functional, mass, step, resample = (
-        (_project_mass, _perimeter, _mass, descent_step, _resample_closed) if d == 2 else
-        (_project_mass_rev, _rev_area, _rev_mass, _rev_step, _resample_profile))
-    g, per, M, iterations, converged = _drive(dens, _Geometry(V, d), M0, max_iters, tol,
-                                              project, functional, mass, step, resample)
+    g, per, M, iterations, converged = _drive(dens, _Geometry(V, d), max_iters, tol)
     V = g.V
+    s = M0 ** (1.0 / (p + d))
     w, c = _revolution(g.mids()[0], d)
     cx, cy, R_fit = _fit_circle(V)
     # in 3D the curve is the full meridional cross-section: profile plus its mirror image
     closed = V if d == 2 else np.vstack([V, V[-2:0:-1] * [1.0, -1.0]])
     return EvolveReport(
-        final_curve=PolyCurve(closed, validate=False),
-        weighted_perimeter=per,
-        weighted_mass=M,
-        unweighted_perimeter=c * float((w * g.L).sum()),
-        unweighted_area=_volume(g),
+        final_curve=PolyCurve(s * closed, validate=False),
+        weighted_perimeter=per * M0 ** ((p + d - 1.0) / (p + d)),
+        weighted_mass=M * M0,
+        unweighted_perimeter=c * float((w * g.L).sum()) * s ** (d - 1),
+        unweighted_area=_volume(g) * s ** d,
         iterations=iterations,
         converged=converged,
         curvature_spread=_curvature_spread(dens, g) if d == 2 else math.nan,
-        radius_estimate=R_fit,
-        center_offset_estimate=float(math.hypot(cx, cy if d == 2 else 0.0)),
+        radius_estimate=R_fit * s,
+        center_offset_estimate=float(math.hypot(cx, cy if d == 2 else 0.0)) * s,
     )
 
 
-# ---------------------------------------------------------------------------
-# Axisymmetric 3D: a half-profile polyline revolved about the x-axis.
-# The profile runs from the right pole to the left pole through y > 0.
-# ---------------------------------------------------------------------------
-
-def _pin_poles(G: np.ndarray) -> np.ndarray:
-    """Zero the y components of the two poles in place: they stay on the axis."""
-    G[0, 1] = G[-1, 1] = 0.0
-    return G
-
-
-def _profile_normals(g: _Geometry) -> np.ndarray:
-    N = _normals(g, 3)
-    # poles move along the axis only (so offsets along N keep them on it);
-    # the profile runs right pole -> left pole
-    N[0] = [1.0, 0.0]
-    N[-1] = [-1.0, 0.0]
-    return N
-
-
-def _profile_ok(g: _Geometry) -> bool:
-    W = g.V
-    if (W[1:-1, 1] <= 0.0).any():
-        return False
-    if W[0, 0] <= W[-1, 0]:
-        return False
-    # closing the profile back along the axis must give a star-shaped loop
-    return _star_ok(g, _centroid(W))
-
-
-def _project_mass_rev(dens: Density, g: _Geometry, M0: float, chord=None) -> _Geometry:
-    """Mass projection of a profile; the pole normals keep the poles on the axis."""
-    return _project(dens, g, M0, _rev_mass, _rev_mass_grad, _profile_normals, chord)
-
-
-def _resample_profile(g: _Geometry) -> np.ndarray:
-    """Resample a profile (see _resample); the poles stay where they were."""
-    out = _resample(g, 3)
-    out[0], out[-1] = g.V[0], g.V[-1]
-    return _pin_poles(out)
-
-
-def _try_direction_rev(dens: Density, g: _Geometry, M0: float, area: float,
-                       dhat: np.ndarray, step0: float, chord
-                       ) -> tuple[_Geometry, float, float, float]:
-    """Line search for a profile; dhat must keep the poles' y at zero, as _descend's do."""
-    return _line_search(dens, g, M0, area, dhat, step0, chord, _profile_ok,
-                        _project_mass_rev, _rev_area)
-
-
-def _rev_step(dens: Density, g: _Geometry, M0: float, area: float,
-              step0: float, steps: list[float]) -> tuple[_Geometry, float, bool]:
-    """One projected-descent iteration of a profile's record (see _descend)."""
-    return _descend(dens, g, M0, area, step0, steps, _rev_area_grad, _rev_mass_grad,
-                    _profile_normals, functools.partial(_smooth, d=3), _pin_poles,
-                    _try_direction_rev)
-
-
-def evolve_3d_axisym(dens: Density, M0: float, n: int = 129, max_iters: int = 4000,
-                     tol: float = 1e-9) -> EvolveReport:
-    """Minimize weighted surface area at fixed weighted mass, axisymmetrically.
-
-    The state is a half-profile polyline revolved about the x-axis, with
-    the poles pinned to the axis; otherwise the scheme matches evolve_2d.
-    It starts from the certified spectral optimum (spectral_3d_axisym),
-    sampled at n points equally spaced in arc length from pole to pole,
-    or else from the displaced sphere.
-    """
-    return _evolve(3, dens, M0, n, max_iters, tol)
+# The benchmark's tracer counts calls to these per-state names; it patches
+# every module attribute bound to the same function, so they share one.
+_mass_grad = _rev_mass_grad = _fan_mass_grad
+_perimeter_grad = _rev_area_grad = _functional_grad
+_resample_closed = _resample_profile = _resample
+_project_mass = _project_mass_rev = _project

@@ -81,6 +81,21 @@ def _initial_center(dens: Density, R: float) -> float:
     return 0.5 * R
 
 
+def _unit_offset(dens: Density, M0: float, d: int) -> float:
+    """The offset a * M0**(-p/(p+d)) of the unit-mass problem scaled by M0**(1/(p+d)) to M0.
+
+    NumericError where it passes the float range.
+    """
+    if not dens.a:
+        return 0.0
+    with np.errstate(over="ignore"):  # inf, not an OverflowError
+        a = float(dens.a * np.float64(M0) ** (-dens.p / (dens.p + d)))
+    if a == math.inf:
+        raise NumericError(f"offset {dens.a!r} at mass {M0!r} is past the float range"
+                           " at unit mass")
+    return a
+
+
 class _Jet:
     """Values of f(r, r', c) at every node with the partials g[i] and h[i, j] in (r, r', c)."""
 
@@ -262,11 +277,7 @@ def _solve(dens: Density, M0: float, d: int, K: int) -> SpectralOptimum:
     p = dens.p
     scale = M0 ** (1.0 / (p + d))
     with np.errstate(all="ignore"):  # a failed evaluation is not finite, and is refused
-        # the offset at unit mass: inf, not an OverflowError, where it passes the float range
-        a = float(dens.a * np.float64(M0) ** (-p / (p + d))) if dens.a else 0.0
-        if a == math.inf:
-            raise NumericError(f"offset {dens.a!r} at mass {M0!r} is past the float range"
-                               " at unit mass")
+        a = _unit_offset(dens, M0, d)
         R = float(radial_mass_inverse(p, a, 1.0 / Dimension(d).k_d, d))
         z = np.zeros(nodes.basis.shape[2])
         z[:2] = R, _initial_center(Density(p, a), R)  # the circle or sphere, onto the mass

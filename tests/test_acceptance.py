@@ -37,7 +37,7 @@ from isodense import (
     solve_p2,
     solve_p_lt_1,
 )
-from isodense.evolver import _Geometry, _mass, _mass_grad, _perimeter, _perimeter_grad
+from isodense.evolver import _Geometry, _fan_mass, _fan_mass_grad, _functional, _functional_grad
 from isodense.interval1d import _beta_p_lt_1_closed
 
 
@@ -213,10 +213,10 @@ def test_criterion_10_gradient_and_quadrature_hygiene():
             cx, cy = rng.uniform(-0.3, 0.3, size=2)
             V = np.column_stack([cx + r * np.cos(theta), cy + r * np.sin(theta)])
             dens = Density(float(rng.uniform(0.6, 4.0)), float(rng.uniform(0.0, 1.5)))
-            gP = _perimeter_grad(dens, _Geometry(V, 2))
-            gM = _mass_grad(dens, _Geometry(V, 2))
+            gP = _functional_grad(dens, _Geometry(V, 2))
+            gM = _fan_mass_grad(dens, _Geometry(V, 2))
             h = 1e-6
-            for g, f in ((gP, _perimeter), (gM, _mass)):
+            for g, f in ((gP, _functional), (gM, _fan_mass)):
                 fd = np.zeros_like(V)
                 for i in range(n):
                     for j in range(2):

@@ -789,15 +789,13 @@ def test_nonfinite_result_is_a_one_line_numeric_failure(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv, cause", [
     (["sweep", "--dim", "1", "--p", "1", "--a-min", "1.8814672133785313e+77",
       "--a-max", "1.7976931348623157e+308", "--steps", "22"], "offset a=9.416487849278796e+307"),
-    (["evolve", "--dim", "2", "--p", "1e-300", "--a", "14274672", "--mass", "1e-300",
-      "--vertices", "64", "--iters", "0"], "mass projection did not converge"),
     (["evolve", "--dim", "3", "--p", "1.0051312191802512e16", "--a", "3.4570810051530968e252",
       "--mass", "2.2250738585e-313", "--vertices", "33", "--iters", "0"],
      "offset 3.4570810051530968e+252 at mass 2.2250738585e-313 is past the float range"),
     (["contour", "--p", "3.185827619718356e+90", "--a", "3.185827619718356e+90",
       "--mass", "1e-300", "--grid", "8"],
      "contour grid: extent 0.0 at mass 1e-300 is not positive"),
-], ids=["sweep-linspace", "evolve-gradient", "evolve-unit-mass-offset", "contour-extent"])
+], ids=["sweep-linspace", "evolve-unit-mass-offset", "contour-extent"])
 def test_extreme_inputs_are_one_line_numeric_failures(capsys, argv, cause):
     # found by the argument property tests: np.linspace's last offset and the
     # evolver's kernels once printed numpy overflow warnings before the failure
@@ -811,6 +809,39 @@ def test_extreme_inputs_are_one_line_numeric_failures(capsys, argv, cause):
     assert [str(w.message) for w in caught] == []
     assert err.startswith("numeric failure: " + cause)
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--dim", "2", "--p", "1e-300", "--a", "14274672", "--mass", "1e-300",
+     "--vertices", "64", "--iters", "0"],
+    # at unit mass the offset is about 1e237, where the spectral start does not certify
+    pytest.param(["evolve", "--dim", "3", "--p", "2", "--a", "3.98e125", "--mass", "3.84e-279",
+                  "--vertices", "33"], marks=pytest.mark.uncertified_start),
+    ["evolve", "--dim", "2", "--p", "2", "--a", "0", "--mass", "1e-315", "--vertices", "64"],
+], ids=["evolve-gradient", "evolve-tiny-3d", "evolve-subnormal-mass"])
+def test_evolve_far_from_unit_mass_is_the_scaled_unit_mass_run(capsys, argv):
+    # each ended "mass projection did not converge" (exit 2) when the run
+    # descended at its own mass: curves far below unit size overflowed
+    # r**(p - 2) in the gradients or underflowed the fan's crosses, and a
+    # subnormal mass's stop 1e-10 * M0 underflowed to 0.  The run is
+    # solved at unit mass, for the offset a * M0**(-p/(p+d)), and scaled back
+    from isodense import Density, evolve_2d, evolve_3d_axisym
+    from isodense.spectral import _unit_offset
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert [str(w.message) for w in caught] == []
+    rec = json.loads(out)
+    d, p, a, M0 = rec["dim"], rec["p"], rec["a"], rec["mass"]
+    assert abs(rec["weighted_mass"] - M0) <= 1e-8 * M0
+    opts = dict(zip(argv[1::2], argv[2::2]))
+    unit = (evolve_2d if d == 2 else evolve_3d_axisym)(
+        Density(p, _unit_offset(Density(p, a), M0, d)), 1.0, n=int(opts["--vertices"]),
+        max_iters=int(opts.get("--iters", 4000)))
+    assert rec["weighted_perimeter"] == pytest.approx(
+        M0 ** ((p + d - 1) / (p + d)) * unit.weighted_perimeter, rel=1e-11)
 
 
 @pytest.mark.parametrize("a", ["1e308", "1.7e308"])

@@ -99,8 +99,8 @@ def test_a0_boundary_is_the_disc_on_a_fine_polygon():
     dens = Density(4.0, 0.0)
     V = spectral_2d(dens, 1.0).sample(65536)
     g = ev._Geometry(V, 2)
-    assert abs(ev._perimeter(dens, g) - _through_origin(2, 4.0)) <= 1e-6
-    assert abs(ev._mass(dens, g) - 1.0) <= 1e-6
+    assert abs(ev._functional(dens, g) - _through_origin(2, 4.0)) <= 1e-6
+    assert abs(ev._fan_mass(dens, g) - 1.0) <= 1e-6
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -204,16 +204,19 @@ def _record_solves(monkeypatch):
 
 @pytest.mark.uncertified_start
 def test_uncertified_solve_starts_from_the_circle(monkeypatch):
-    # at p = 4, a = 0.1 and M0 = 1e-300 the unit-mass problem has offset
-    # 1e199: the start circle's r**p part of the mass, of order R**6 ~ 1e-600,
-    # underflows, and the solve does not certify
+    # at p = 4, a = 0.1 and M0 = 1e-300 the unit-mass problem, which the
+    # run solves, has offset 1e199: the start circle's r**p part of the
+    # mass, of order R**6 ~ 1e-600, underflows, and the solve does not
+    # certify.  The run starts from that problem's circle
     dens, M0, n = Density(4.0, 0.1), 1e-300, 128
     results = _record_solves(monkeypatch)
     starts = _capture_start(monkeypatch)
     with pytest.raises(_Started):
         ev.evolve_2d(dens, M0, n=n)
     assert not results[0].certified
-    R = symmetric_ball(dens, Dimension(2), M0).radius
+    unit = Density(4.0, sp._unit_offset(dens, M0, 2))
+    assert unit.a == pytest.approx(1e199, rel=1e-12)
+    R = symmetric_ball(unit, Dimension(2), 1.0).radius
     circle = PolyCurve.circle(R, center=(0.5 * R, 0.0), n=n).vertices
     assert np.array_equal(starts[0], circle)
 

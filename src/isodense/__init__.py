@@ -38,7 +38,7 @@ from .interval1d import (
     solve_p_lt_1,
     solve_symmetric,
 )
-from .numerics import NumericError, bisect, gauss_legendre, golden_min
+from .numerics import NumericError, bisect, golden_min
 from .radial import (
     BallBranch,
     BallSolution,
@@ -97,5 +97,4 @@ __all__ = [
     "NumericError",
     "bisect",
     "golden_min",
-    "gauss_legendre",
 ]

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import Density, Dimension, check_mass
-from .numerics import NumericError, gauss_legendre_nodes
+from .numerics import NumericError
 from .radial import symmetric_ball
 from .spectral import _initial_center, _unit_offset, spectral_2d, spectral_3d_axisym
 
@@ -78,12 +78,12 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 # Quadrature nodes mapped to [0, 1]: 4 along each edge, 7 across the fan.
-_X4, _W4 = gauss_legendre_nodes(4)
+_X4, _W4 = np.polynomial.legendre.leggauss(4)
 _T4 = 0.5 * (_X4 + 1.0)
 _T4_COLUMN = _T4[:, None] + 0j  # cast once: a product with complex edges casts a float column
 _WT4 = 0.5 * _W4
 _WT4_START, _WT4_END = _WT4 * (1.0 - _T4), _WT4 * _T4  # a node's shares of its edge's ends
-_X7, _W7 = gauss_legendre_nodes(7)
+_X7, _W7 = np.polynomial.legendre.leggauss(7)
 _U7 = 0.5 * (_X7 + 1.0)
 _WU7 = 0.5 * _W7
 
@@ -267,9 +267,6 @@ class PolyCurve:
     @property
     def vertices(self) -> np.ndarray:
         return self._V.copy()
-
-    def centroid(self) -> np.ndarray:
-        return self._V.mean(axis=0)
 
     def unweighted_perimeter(self) -> float:
         return float(_Geometry(self._V, 2).L.sum())

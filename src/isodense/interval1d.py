@@ -95,7 +95,7 @@ class IntervalSolution:
     one end at the origin, asymmetric straddling the origin, or symmetric
     about it; mass is its weighted mass.  lagrange_multiplier is the
     sensitivity of the minimal perimeter to the mass constraint, taken from
-    the right-endpoint stationarity condition; it is None when not computed.
+    the right-endpoint stationarity condition.
     """
 
     alpha: float
@@ -103,7 +103,7 @@ class IntervalSolution:
     perimeter: float
     mass: float
     branch: IntervalBranch
-    lagrange_multiplier: Optional[float] = None
+    lagrange_multiplier: float
 
     def __post_init__(self):
         if not (self.alpha <= 0.0 < self.beta):

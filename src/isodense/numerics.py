@@ -1,5 +1,5 @@
-"""Shared numerical kernels: bracketed bisection, golden-section search and
-Gauss-Legendre quadrature.
+"""NumericError and three scalar routines: bracketed bisection, bracket
+growth and golden-section search.
 
 Everything here is a stateless pure function.  No solver finds a root
 here: every radius and endpoint fixed by a mass comes from
@@ -12,20 +12,12 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-import numpy as np
-
 __all__ = [
     "NumericError",
     "bisect",
     "grow_bracket",
     "golden_min",
-    "gauss_legendre",
-    "gauss_legendre_nodes",
 ]
-
-# Supported Gauss-Legendre orders: 4 and 7 for the evolver's fan rule, 16 and 64 for
-# the tests' gauss_legendre oracles.
-GL_NODE_COUNTS = (4, 7, 16, 64)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
@@ -112,27 +104,3 @@ def golden_min(f: Callable[[float], float], lo: float, hi: float,
         if fx < best_f:
             best_x, best_f = x, fx
     return best_x, best_f
-
-
-def gauss_legendre_nodes(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre abscissae and weights on [-1, 1] for a supported order."""
-    if nodes not in GL_NODE_COUNTS:
-        raise ValueError(f"unsupported node count {nodes}; choose from {GL_NODE_COUNTS}")
-    return _GL_CACHE[nodes]
-
-
-_GL_CACHE = {n: np.polynomial.legendre.leggauss(n) for n in GL_NODE_COUNTS}
-
-
-def gauss_legendre(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                   nodes: int) -> float:
-    """Gauss-Legendre estimate of the integral of f over [lo, hi].
-
-    f must accept an ndarray of evaluation points.  Exact for polynomials
-    of degree <= 2*nodes - 1.
-    """
-    x, w = gauss_legendre_nodes(nodes)
-    mid = 0.5 * (hi + lo)
-    half = 0.5 * (hi - lo)
-    return float(half * np.sum(w * np.asarray(f(mid + half * x), dtype=float)))
-

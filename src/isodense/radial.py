@@ -20,7 +20,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -67,7 +66,7 @@ class BallSolution:
     perimeter: float
     mass: float
     branch: BallBranch
-    lagrange_multiplier: Optional[float] = None
+    lagrange_multiplier: float
 
     def __post_init__(self):
         if self.dim.d not in (2, 3):

@@ -110,12 +110,8 @@ class _Jet:
         g[k] = 1.0
         return cls(x, g, np.zeros((3, 3, len(x))))
 
-    def __add__(self, other):
-        if isinstance(other, _Jet):
-            return _Jet(self.v + other.v, self.g + other.g, self.h + other.h)
-        return _Jet(self.v + other, self.g, self.h)
-
-    __radd__ = __add__
+    def __add__(self, other: "_Jet") -> "_Jet":
+        return _Jet(self.v + other.v, self.g + other.g, self.h + other.h)
 
     def __mul__(self, other):
         if isinstance(other, _Jet):

@@ -12,7 +12,6 @@ from isodense import (
     critical_offset_1d,
     evolve_2d,
     evolve_3d_axisym,
-    gauss_legendre,
     solve_2d_p2,
     solve_3d_p2,
     solve_general,
@@ -23,6 +22,7 @@ from isodense import (
     symmetric_ball,
 )
 from isodense.density import check_mass
+from quadrature import gauss_legendre
 
 
 def test_eval_examples():

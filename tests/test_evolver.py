@@ -38,6 +38,7 @@ from isodense.evolver import (
     _project,
     _resample,
 )
+from quadrature import gauss_legendre
 
 
 def _wobbly_curve(n=64, seed=0, center=(0.15, -0.1)):
@@ -116,7 +117,6 @@ def test_functionals_match_offcentre_circle():
 def test_mass_fan_handles_region_not_containing_origin():
     dens = Density(1.3, 0.4)
     c = PolyCurve.circle(0.5, center=(2.0, 1.0), n=128)
-    from isodense import gauss_legendre
     # radial moment of an offset disk via 2D polar quadrature about its centre
     def ring(q):
         vals = []

@@ -29,6 +29,7 @@ from isodense.interval1d import (
     solve_general_batch,
     solve_p_lt_1_batch,
 )
+from quadrature import gauss_legendre
 
 
 def test_interval_validation():
@@ -51,7 +52,6 @@ def test_mass_examples():
 
 
 def test_mass_matches_quadrature():
-    from isodense import gauss_legendre
     dens = Density(1.7, 0.3)
     f = lambda x: np.abs(x) ** dens.p + dens.a
     for lo, hi in [(0.4, 1.3), (-2.0, -0.5), (-0.9, 1.1)]:

@@ -4,7 +4,6 @@ import pytest
 
 from isodense.numerics import (
     bisect,
-    gauss_legendre,
     golden_min,
     grow_bracket,
 )
@@ -62,24 +61,3 @@ def test_golden_min_constant():
 def test_golden_min_boundary():
     x, _ = golden_min(lambda x: x, 0.0, 1.0, tol=1e-12)
     assert x == 0.0
-
-
-def test_gauss_legendre_polynomial_exactness():
-    assert gauss_legendre(lambda x: x ** 3, 0.0, 1.0, 4) == pytest.approx(0.25, abs=1e-15)
-    assert gauss_legendre(lambda x: x * x + 1.0, 0.0, 1.0, 4) == pytest.approx(4.0 / 3.0, rel=1e-15)
-    # degree 2n-1 exactness on monomials
-    for nodes in (4, 7, 16):
-        deg = 2 * nodes - 1
-        val = gauss_legendre(lambda x: x ** deg, 0.0, 1.0, nodes)
-        assert val == pytest.approx(1.0 / (deg + 1), rel=1e-12)
-
-
-def test_gauss_legendre_radial_moment():
-    R, a = 1.3, 0.4
-    val = gauss_legendre(lambda r: r * (r * r + a), 0.0, R, 7)
-    assert val == pytest.approx(R ** 4 / 4 + a * R * R / 2, rel=1e-14)
-
-
-def test_gauss_legendre_rejects_unsupported_order():
-    with pytest.raises(ValueError):
-        gauss_legendre(lambda x: x, 0.0, 1.0, 5)
